@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
 import repro.core._
+import repro.core.SparkStage.cleanNum
 import repro.core.Intermediates._
 import repro.stats.LocalStats
 
@@ -23,12 +24,6 @@ import repro.stats.LocalStats
   * matching the paper's experimental setup (Section 6.1).
   */
 object ProfilingBaseline {
-
-  private def cleanNum(c: String): Column = {
-    val x = col(c).cast(DoubleType)
-    when(isnan(x) || x === Double.PositiveInfinity || x === Double.NegativeInfinity,
-      lit(null).cast(DoubleType)).otherwise(x)
-  }
 
   private def firstDouble(df: DataFrame, e: Column): Double = {
     val r = df.agg(e).head()
@@ -187,7 +182,6 @@ object ProfilingBaseline {
       case "kendall" =>
         LocalStage.correlationMatrix("kendall", corrCols,
           pairs.map(p => p -> kendallPair(df, p._1, p._2, rows, maxKendall)).toMap, hasVariance)
-      case other => throw new IllegalArgumentException(s"unknown correlation method: $other")
     }
     val correlations = Correlation.CorrelationIntermediates(corrCols,
       if (corrCols.size < 2) Nil else matrices,
@@ -200,48 +194,23 @@ object ProfilingBaseline {
   }
 
   /** Eager missing-value overview: one action per column for the bar chart,
-    * one spectrum job per column, one nullity action per pair.
+    * one spectrum reduction per column, one both-missing action per nullity
+    * pair; assembled by the same `Missing.assembleOverview` as the fused path.
     */
   def missingOverview(df: DataFrame, cfg: EdaConfig, rows: Long): Missing.MissingOverviewIntermediates = {
     val cols = df.columns.toSeq
     val missingCounts = cols.map(c =>
       firstLong(df, count(when(SparkStage.isMissing(df, c), 1)))) // action per column
-    val bar = MissingBarChart(cols, missingCounts, rows)
 
     // spectrum: one pass per column (missingno-as-eager shape)
-    val nBuckets = cfg.int("spectrum.bins")
-    val perCol = cols.map(c => SparkStage.missingSpectrum(df, Seq(c), nBuckets))
+    val perCol = cols.map(c => SparkStage.missingSpectrum(df, Seq(c), cfg.int("spectrum.bins")))
     val buckets = perCol.headOption.map(_.buckets).getOrElse(Nil)
     val fractions = Array.tabulate(buckets.size, cols.size)((b, c) =>
       perCol(c).missingFraction(b)(0))
-    val spectrum = MissingSpectrum(cols, buckets, fractions)
 
-    val withMissing = cols.zip(missingCounts).filter(_._2 > 0).map(_._1)
-    val nullityCols = if (withMissing.size >= 2) withMissing else cols
-    // one action per nullity pair
-    val moments = (for (i <- nullityCols.indices; j <- i + 1 until nullityCols.size) yield {
-      val (a, b) = (nullityCols(i), nullityCols(j))
-      val ind = df.select(
-        when(SparkStage.isMissing(df, a), 1.0).otherwise(0.0).as(a),
-        when(SparkStage.isMissing(df, b), 1.0).otherwise(0.0).as(b))
-      (a, b) -> SparkStage.pairwiseMoments(ind, Seq((a, b)))((a, b))
-    }).toMap
-    val missingOf = cols.zip(missingCounts).toMap
-    val nullityCorr = LocalStage.correlationMatrix("nullity", nullityCols,
-      LocalStage.pearsonFromMoments(moments),
-      hasVariance = c => missingOf(c) > 0 && missingOf(c) < rows)
-    val distances = LocalStage.nullityDistances(nullityCols, rows, moments)
-    val dendrogram = MissingDendrogram(nullityCols,
-      repro.stats.Dendrogram.singleLinkage(nullityCols, distances))
-
-    val missingT = cfg.double("insight.missing.threshold")
-    val insights = cols.zip(missingCounts).collect {
-      case (c, m) if rows > 0 && m.toDouble / rows > missingT =>
-        Insight("missing", Seq(c),
-          f"$c has ${m.toDouble / rows * 100}%.1f%% missing values", m.toDouble / rows)
-    } ++ Insights.correlatedMissingness(nullityCorr, cfg)
-
-    Missing.MissingOverviewIntermediates(bar, spectrum, nullityCorr, dendrogram, insights)
+    Missing.assembleOverview(cols, rows, missingCounts, MissingSpectrum(cols, buckets, fractions),
+      (i, j) => firstLong(df, count(when( // action per pair
+        SparkStage.isMissing(df, cols(i)) && SparkStage.isMissing(df, cols(j)), 1))), cfg)
   }
 
   def createReport(df: DataFrame, config: Map[String, Any] = Map.empty): ReportModel.Report = {

@@ -67,8 +67,6 @@ object Correlation {
       case "kendall" =>
         LocalStage.correlationMatrix("kendall", cols,
           LocalStage.kendallFromMatrix(cols, sample), hasVariance)
-      case other =>
-        throw new IllegalArgumentException(s"unknown correlation method: $other")
     }
     val insights = matrices.flatMap(m => Insights.highCorrelations(m, cfg))
     CorrelationIntermediates(cols, matrices, insights)
@@ -104,7 +102,6 @@ object Correlation {
         vecOf("spearman", restrict(LocalStage.spearmanFromMatrix(sub, sample)))
       case "kendall" =>
         vecOf("kendall", restrict(LocalStage.kendallFromMatrix(sub, sample)))
-      case other => throw new IllegalArgumentException(s"unknown correlation method: $other")
     }
     val t = cfg.double("insight.correlation.threshold")
     val insights = vectors.flatMap { v =>
@@ -136,7 +133,6 @@ object Correlation {
       case "pearson"  => "pearson" -> moments.pearson
       case "spearman" => "spearman" -> (if (xs.length > 1) LocalStats.spearman(xs.toSeq, ys.toSeq) else Double.NaN)
       case "kendall"  => "kendall" -> LocalStats.kendallTauB(xs, ys)
-      case other => throw new IllegalArgumentException(s"unknown correlation method: $other")
     }.toMap
     val t = cfg.double("insight.correlation.threshold")
     val insights = coefficients.toSeq.collect {

@@ -113,7 +113,9 @@ object Eda {
     *     all outlier counts,
     *  3. one moment agg for Pearson, one reduce-to-driver collect shared by
     *     local Spearman and Kendall,
-    *  4. one agg + one spectrum job + one nullity moment agg for missing,
+    *  4. for missing values, one row-count job and one `groupBy(spectrum
+    *     bucket, missing pattern)` job; bar counts, spectrum, nullity
+    *     correlation and dendrogram all come from the pattern counts,
     *  5. `report.interactions` small 2-D grid jobs.
     */
   def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): ReportIntermediates = {

@@ -25,10 +25,6 @@ final case class EdaConfig(entries: Map[String, Any]) {
     case l: Long   => l.toDouble
     case other => throw new IllegalArgumentException(s"config $key: expected Double, got $other")
   }
-  def bool(key: String): Boolean = entries(key) match {
-    case b: Boolean => b
-    case other => throw new IllegalArgumentException(s"config $key: expected Boolean, got $other")
-  }
   def string(key: String): String = entries(key).toString
   def strings(key: String): Seq[String] = entries(key) match {
     case s: Seq[_] => s.map(_.toString)
@@ -37,6 +33,8 @@ final case class EdaConfig(entries: Map[String, Any]) {
 }
 
 object EdaConfig {
+
+  val CorrelationMethods: Seq[String] = Seq("pearson", "spearman", "kendall")
 
   /** (default value, human description) per key. The descriptions feed the
     * how-to guides: each chart kind exposes the keys that customize it.
@@ -54,7 +52,7 @@ object EdaConfig {
     "box.bins"               -> (10, "number of x bins for the binned box plot"),
     "nc.topk"                -> (10, "number of categories in categorical-vs-numerical plots"),
     "cc.topk"                -> (10, "number of categories per axis in nested/stacked/heat charts"),
-    "corr.methods"           -> (Seq("pearson", "spearman", "kendall"), "correlation coefficients to compute"),
+    "corr.methods"           -> (CorrelationMethods, "correlation coefficients to compute"),
     "corr.maxrows"           -> (200000L, "rows above which correlation coefficients are computed on a collected sample"),
     "corr.maxcols"           -> (40, "max numeric columns entering the correlation matrix"),
     "spectrum.bins"          -> (32, "row buckets of the missing-spectrum plot"),
@@ -74,15 +72,27 @@ object EdaConfig {
   val defaults: Map[String, Any] = registry.map { case (k, (v, _)) => k -> v }
 
   /** Build a config from user overrides; unknown keys raise immediately so a
-    * typo ("hist.bin") cannot silently fall back to the default.
+    * typo ("hist.bin") cannot silently fall back to the default. Non-positive
+    * counts and unknown correlation methods are rejected here, before any task.
     */
   def from(overrides: Map[String, Any] = Map.empty): EdaConfig = {
     val unknown = overrides.keySet.diff(defaults.keySet)
     require(unknown.isEmpty,
       s"unknown config key(s): ${unknown.toSeq.sorted.mkString(", ")}; " +
       s"known keys: ${defaults.keySet.toSeq.sorted.mkString(", ")}")
-    EdaConfig(defaults ++ overrides)
+    val cfg = EdaConfig(defaults ++ overrides)
+    countKeys.foreach(k =>
+      require(cfg.int(k) > 0, s"config $k: expected a positive count, got ${cfg.entries(k)}"))
+    val badMethods = cfg.strings("corr.methods").filterNot(CorrelationMethods.contains)
+    require(badMethods.isEmpty, s"config corr.methods: unknown method(s) " +
+      s"${badMethods.mkString(", ")}; known: ${CorrelationMethods.mkString(", ")}")
+    cfg
   }
+
+  /** Keys that size an array or divide a range, so must be positive. */
+  private val countKeys: Seq[String] =
+    Seq("spectrum.bins", "hist.bins", "grid2d.xbins", "grid2d.ybins", "box.bins") ++
+      registry.keys.filter(_.endsWith(".topk")).toSeq.sorted
 
   val default: EdaConfig = EdaConfig(defaults)
 

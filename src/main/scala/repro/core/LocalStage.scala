@@ -27,9 +27,6 @@ object LocalStage {
     CorrelationMatrix(method, cols, values)
   }
 
-  def pearsonFromMoments(moments: Map[(String, String), PairMoments]): Map[(String, String), Double] =
-    moments.map { case (p, m) => p -> m.pearson }
-
   /** Pairwise-complete (x, y) arrays of columns i, j of the collected
     * numeric matrix (column-major, NaN = missing).
     */

@@ -4,13 +4,14 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.Intermediates._
 import repro.stats.Dendrogram
+import repro.stats.LocalStats.PairMoments
 
 /** Missing-value task — plot_missing(df[, col1[, col2]]) (Figure 2).
   *
   * Overview: bar chart of missing counts, missing spectrum, nullity
-  * correlation heatmap, dendrogram. The nullity moment pass is shared by
-  * the heatmap and the dendrogram (disagreement distances come from the
-  * same sums — computation sharing).
+  * correlation heatmap, dendrogram — all derived locally from the row
+  * count of every (spectrum bucket, missing pattern). The heatmap and the
+  * dendrogram share the nullity sums those pattern counts give.
   *
   * Impact (col1): the distribution of every other column before vs. after
   * dropping the rows where col1 is missing — ALL columns in one pass per
@@ -46,28 +47,35 @@ object Missing {
       frequencies: Option[ImpactFrequencies],
       insights: Seq[Insight])
 
-  /** plot_missing(df). Columns with no missing values are kept in the bar
-    * chart and spectrum but — like missingno — excluded from the nullity
-    * correlation/dendrogram unless fewer than two columns have any missing.
-    */
+  /** plot_missing(df): one `missingPatterns` reduction, two Spark jobs. */
   def overview(df: DataFrame, cfg: EdaConfig): MissingOverviewIntermediates = {
-    val cols = df.columns.toSeq
-    // pass 1: rows + missing count per column, one action
-    val exprs = count(lit(1)) +: cols.map(c =>
-      count(when(SparkStage.isMissing(df, c), 1)))
-    val row = df.agg(exprs.head, exprs.tail: _*).head()
-    val rows = row.getLong(0)
-    val missingCounts = cols.indices.map(i => row.getLong(i + 1))
+    val patterns = SparkStage.missingPatterns(df, df.columns.toSeq, cfg.int("spectrum.bins"))
+    val both = patterns.bothMissing
+    assembleOverview(patterns.columns, patterns.rows, both.indices.map(i => both(i)(i)),
+      patterns.spectrum, both(_)(_), cfg)
+  }
+
+  /** The overview from the row count, each column's missing count, the
+    * spectrum and the both-missing count of columns i and j (asked only for
+    * nullity-matrix pairs). Columns with no missing values stay in the bar
+    * chart and spectrum but — like missingno — leave the nullity matrix and
+    * dendrogram unless fewer than two columns have any missing. For 0/1
+    * indicators Σx = Σx² = missing count and Σxy = both-missing count.
+    */
+  def assembleOverview(cols: Seq[String], rows: Long, missingCounts: Seq[Long],
+                       spectrum: MissingSpectrum, bothMissing: (Int, Int) => Long,
+                       cfg: EdaConfig): MissingOverviewIntermediates = {
     val bar = MissingBarChart(cols, missingCounts, rows)
-
-    val spectrum = SparkStage.missingSpectrum(df, cols, cfg.int("spectrum.bins"))
-
-    val withMissing = cols.zip(missingCounts).filter(_._2 > 0).map(_._1)
-    val nullityCols = if (withMissing.size >= 2) withMissing else cols
-    val moments = SparkStage.nullityMoments(df, nullityCols)
     val missingOf = cols.zip(missingCounts).toMap
+    val withMissing = cols.indices.filter(missingCounts(_) > 0)
+    val nullity = if (withMissing.size >= 2) withMissing else cols.indices
+    val nullityCols = nullity.map(cols)
+    val moments = (for (i <- nullity; j <- nullity if i < j) yield {
+      val (mi, mj) = (missingCounts(i).toDouble, missingCounts(j).toDouble)
+      (cols(i), cols(j)) -> PairMoments(rows, mi, mj, mi, mj, bothMissing(i, j).toDouble)
+    }).toMap
     val nullityCorr = LocalStage.correlationMatrix("nullity", nullityCols,
-      LocalStage.pearsonFromMoments(moments),
+      moments.map { case (p, m) => p -> m.pearson },
       hasVariance = c => missingOf(c) > 0 && missingOf(c) < rows)
     val distances = LocalStage.nullityDistances(nullityCols, rows, moments)
     val dendrogram = MissingDendrogram(nullityCols,

@@ -37,13 +37,16 @@ object SparkStage {
       lit(null).cast(DoubleType)).otherwise(x)
   }
 
+  /** A top-level column by exact name; backticks keep a `.` from naming a nested field. */
+  private[repro] def colRef(c: String): Column = col("`" + c.replace("`", "``") + "`")
+
   /** Missing test that also treats NaN as missing for numeric columns. */
   private[repro] def isMissing(df: DataFrame, c: String): Column =
     TypeDetector.typeOf(df, c) match {
       case ColumnType.Numerical =>
-        val x = col(c).cast(DoubleType)
+        val x = colRef(c).cast(DoubleType)
         x.isNull || isnan(x)
-      case ColumnType.Categorical => col(c).isNull
+      case ColumnType.Categorical => colRef(c).isNull
     }
 
   /** All pass-1 aggregates of a table, computed in one action. */
@@ -335,25 +338,6 @@ object SparkStage {
 
   private def zeroIfNaN(d: Double): Double = if (d.isNaN) 0.0 else d
 
-  /** Rank-transform every listed column (average ranks, ties shared; nulls
-    * preserved) in one plan, using the two-direction rank identity
-    * avg = (rank_asc + k + 1 − rank_desc) / 2 so no per-column shuffle by
-    * value is needed. `nonNullCounts` (k) comes from the precompute stage.
-    */
-  def rankColumns(df: DataFrame, cols: Seq[String],
-                  nonNullCounts: Map[String, Long]): DataFrame = {
-    val exprs = cols.map { c =>
-      val x = cleanNum(c)
-      val k = nonNullCounts(c)
-      val rAsc = rank().over(Window.orderBy(x.asc_nulls_last))
-      val rDesc = rank().over(Window.orderBy(x.desc_nulls_last))
-      when(x.isNull, lit(null).cast(DoubleType))
-        .otherwise((rAsc + lit(k + 1) - rDesc) / 2.0)
-        .as(c)
-    }
-    df.select(exprs: _*)
-  }
-
   /** Numeric columns collected to the driver (local Kendall stage), sampled
     * down to ~`maxRows` rows when the table is larger. Returns column-major
     * arrays aligned with `cols`; nulls arrive as NaN.
@@ -380,45 +364,78 @@ object SparkStage {
   // Missing-value reductions.
   // ---------------------------------------------------------------------
 
-  /** Missing fraction per column per row-bucket (the missing spectrum),
-    * one action. Row order follows the DataFrame's partition order.
+  /** Row count of every (spectrum bucket, missing pattern) of a table; bit
+    * i of a pattern's mask words is set where `columns(i)` is missing.
     */
-  def missingSpectrum(df: DataFrame, cols: Seq[String], nBuckets: Int): MissingSpectrum = {
-    val withId = df.withColumn("__mid", monotonically_increasing_id())
-    val w = Window.orderBy(col("__mid"))
-    val bucketed = withId.withColumn("__b", ntile(nBuckets).over(w))
-    val aggs = count(lit(1)).as("__cnt") +:
-      cols.zipWithIndex.map { case (c, i) =>
-        sum(when(isMissing(df, c), 1).otherwise(0)).as(s"__m$i")
+  final case class MissingPatterns(columns: Seq[String], counts: Seq[(Int, IndexedSeq[Long], Long)]) {
+    private def missing(mask: IndexedSeq[Long], i: Int): Boolean = (mask(i >>> 6) >>> (i & 63) & 1L) != 0
+
+    def rows: Long = counts.map(_._3).sum
+
+    /** Rows where columns i and j are both missing (diagonal: missing counts). */
+    def bothMissing: Array[Array[Long]] = {
+      val both = Array.ofDim[Long](columns.size, columns.size)
+      counts.groupMapReduce(_._2)(_._3)(_ + _).foreach { case (mask, n) =>
+        val set = columns.indices.filter(missing(mask, _))
+        for (i <- set; j <- set) both(i)(j) += n
       }
-    val rows = bucketed.groupBy(col("__b")).agg(aggs.head, aggs.tail: _*)
-      .orderBy(col("__b")).collect()
-    val fractions = Array.ofDim[Double](rows.length, cols.size)
-    val buckets = new Array[(Long, Long)](rows.length)
-    var start = 0L
-    rows.zipWithIndex.foreach { case (r, bi) =>
-      val cnt = getLong(r, 1)
-      buckets(bi) = (start, start + cnt - 1)
-      start += cnt
-      cols.indices.foreach { ci =>
-        fractions(bi)(ci) = if (cnt == 0) 0.0 else getLong(r, 2 + ci).toDouble / cnt
-      }
+      both
     }
-    MissingSpectrum(cols, buckets.toSeq, fractions)
+
+    /** Missing fraction per column in each non-empty bucket, in row order. */
+    def spectrum: MissingSpectrum = {
+      val byBucket = counts.groupBy(_._1).toSeq.sortBy(_._1).map(_._2)
+      val sizes = byBucket.map(_.map(_._3).sum)
+      val starts = sizes.scanLeft(0L)(_ + _)
+      val fractions = byBucket.zip(sizes).map { case (grp, cnt) =>
+        Array.tabulate(columns.size)(i =>
+          grp.collect { case (_, mask, n) if missing(mask, i) => n }.sum.toDouble / cnt)
+      }.toArray
+      MissingSpectrum(columns, sizes.indices.map(b => (starts(b), starts(b + 1) - 1)), fractions)
+    }
   }
 
-  /** Pairwise moments of the 0/1 missing indicators of every column pair,
-    * one action. Feeds both the nullity correlation heatmap and (via
-    * disagreement counts sx + sy − 2·sxy) the dendrogram distances.
+  /** Missing patterns of `cols` in two jobs, whatever the width: rows per
+    * partition (partition = id >> 33 of `monotonically_increasing_id`), then
+    * one `groupBy(bucket, ⌈m/64⌉ mask words).count()`. A row's bucket is
+    * `ntile(nBuckets)` of its global index offset(partition) + (id & (2³³ − 1)):
+    * the first n mod b buckets hold ⌊n/b⌋ + 1 rows. Row order follows the
+    * partition order, with no global window moving every row to one partition.
     */
-  def nullityMoments(df: DataFrame,
-                     cols: Seq[String]): Map[(String, String), PairMoments] = {
-    val ind = df.select(cols.map(c =>
-      when(isMissing(df, c), 1.0).otherwise(0.0).as(c)): _*)
-    val pairs = for (i <- cols.indices; j <- i + 1 until cols.size)
-      yield (cols(i), cols(j))
-    pairwiseMoments(ind, pairs)
+  def missingPatterns(df: DataFrame, cols: Seq[String], nBuckets: Int): MissingPatterns = {
+    val words = cols.zipWithIndex.grouped(64).map(_.map { case (c, i) =>
+      when(isMissing(df, c), lit(1L << (i & 63))).otherwise(lit(0L))
+    }.reduce(_ bitwiseOR _)).toSeq
+    val wordCols = words.indices.map(w => s"w$w")
+    // The id is stateful: project it once and derive everything from that
+    // column, or each reference would draw a new id.
+    val withId = df.select(monotonically_increasing_id().as("id") +:
+      words.zip(wordCols).map { case (e, n) => e.as(n) }: _*)
+    val id = col("id")
+    val partition = shiftright(id, 33).cast("int")
+
+    val perPartition = withId.groupBy(partition).count().collect()
+      .map(row => row.getInt(0) -> row.getLong(1)).toMap
+    val offsets = (0 to perPartition.keys.maxOption.getOrElse(0))
+      .scanLeft(0L)((acc, p) => acc + perPartition.getOrElse(p, 0L))
+    val n = offsets.last
+    val (q, r) = (n / nBuckets, n % nBuckets)
+    val inLarger = r * (q + 1) // rows in the r buckets of q + 1 rows
+    def div(a: Column, d: Long): Column = call_function("div", a, lit(d))
+    val g = coalesce(try_element_at(typedlit(offsets.init), partition + 1), lit(0L)) +
+      id.bitwiseAND(lit((1L << 33) - 1))
+    val bucket = when(g < inLarger, div(g, q + 1))
+      .otherwise(lit(r) + div(g - inLarger, math.max(q, 1L)))
+    val clamped = least(lit(nBuckets - 1L), greatest(lit(0L), bucket)).cast("int")
+
+    val rows = withId.groupBy(clamped +: wordCols.map(col): _*).count().collect()
+    MissingPatterns(cols, rows.toSeq.map(row => (row.getInt(0),
+      IndexedSeq.tabulate(words.size)(w => row.getLong(w + 1)), row.getLong(words.size + 1))))
   }
+
+  /** Missing fraction per column per row-bucket (the missing spectrum). */
+  def missingSpectrum(df: DataFrame, cols: Seq[String], nBuckets: Int): MissingSpectrum =
+    missingPatterns(df, cols, nBuckets).spectrum
 
   // ---------------------------------------------------------------------
   // Bivariate reductions.

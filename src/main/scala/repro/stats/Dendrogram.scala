@@ -5,8 +5,7 @@ package repro.stats
   * Substrate for the missing-value dendrogram (plot_missing(df)): missingno
   * clusters columns by how similarly their values are missing. The distance
   * here is the nullity-disagreement fraction between two columns, derived
-  * from the same pairwise-moment pass that feeds the nullity correlation
-  * heatmap.
+  * from the same nullity sums that feed the nullity correlation heatmap.
   */
 object Dendrogram {
 

@@ -57,4 +57,17 @@ class EdaConfigSpec extends AnyFunSuite {
       assert(desc.nonEmpty, s"missing description for $k")
     }
   }
+  test("non-positive counts are rejected, naming the key") {
+    for ((k, v) <- Seq("hist.bins" -> -3, "spectrum.bins" -> 0, "grid2d.xbins" -> 0,
+                       "grid2d.ybins" -> -1, "box.bins" -> 0, "bar.topk" -> 0,
+                       "wordfreq.topk" -> -5, "nc.topk" -> 0, "cc.topk" -> 0)) {
+      val e = intercept[IllegalArgumentException](EdaConfig.from(Map(k -> v)))
+      assert(e.getMessage.contains(k), e.getMessage)
+    }
+  }
+  test("unknown correlation methods are rejected, naming the key and the value") {
+    val e = intercept[IllegalArgumentException](
+      EdaConfig.from(Map("corr.methods" -> Seq("pearson", "spearmann"))))
+    assert(e.getMessage.contains("corr.methods") && e.getMessage.contains("spearmann"))
+  }
 }

@@ -237,28 +237,6 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(ms(("a", "c")).pearson < -0.99)
   }
 
-  test("rankColumns: average ranks match the local reference") {
-    val d = Seq(3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0).toDF("x")
-    val ranked = SparkStage.rankColumns(d, Seq("x"), Map("x" -> 8L))
-    val got = collectDoubles(ranked, "x").sorted
-    val exp = LocalStats.averageRanks(collectDoubles(d, "x")).toSeq.sorted
-    assertApproxSeq(got, exp, 1e-9, "ranks")
-  }
-
-  test("rankColumns: ties share the average rank") {
-    val d = Seq(10.0, 20.0, 20.0, 30.0).toDF("x")
-    val ranked = SparkStage.rankColumns(d, Seq("x"), Map("x" -> 4L))
-    assert(collectDoubles(ranked, "x").sorted == Seq(1.0, 2.5, 2.5, 4.0))
-  }
-
-  test("rankColumns: nulls stay null and do not shift ranks") {
-    val d = Seq(Option(5.0), None, Option(1.0), Option(3.0)).toDF("x")
-    val ranked = SparkStage.rankColumns(d, Seq("x"), Map("x" -> 3L))
-    val all = ranked.collect().map(r => if (r.isNullAt(0)) None else Some(r.getDouble(0)))
-    assert(all.count(_.isEmpty) == 1)
-    assert(all.flatten.sorted.toSeq == Seq(1.0, 2.0, 3.0))
-  }
-
   test("collectNumericMatrix: column-major values with NaN for null") {
     val d = Seq((Option(1.0), Option(2.0)), (None: Option[Double], Option(4.0))).toDF("a", "b")
     val m = SparkStage.collectNumericMatrix(d, Seq("a", "b"), 2, 100)
@@ -294,15 +272,16 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(sp.buckets.sliding(2).forall(p => p(0)._2 + 1 == p(1)._1))
   }
 
-  test("nullityMoments: disagreement counts recoverable from sums") {
+  test("missingPatterns: disagreement counts recoverable from sums") {
     val d = Seq(
       (Option(1.0), Option("a")), (None: Option[Double], Option("b")),
       (None: Option[Double], None: Option[String]), (Option(2.0), Option("c")),
     ).toDF("x", "s")
-    val m = SparkStage.nullityMoments(d, Seq("x", "s"))(("x", "s"))
+    val both = SparkStage.missingPatterns(d, Seq("x", "s"), 3).bothMissing
+    val (sx, sy, sxy) = (both(0)(0), both(1)(1), both(0)(1))
     // indicators: x = (0,1,1,0), s = (0,0,1,0) -> disagreements = 1
-    assert(m.sx == 2.0 && m.sy == 1.0 && m.sxy == 1.0)
-    assert(m.sx + m.sy - 2 * m.sxy == 1.0)
+    assert(sx == 2L && sy == 1L && sxy == 1L)
+    assert(sx + sy - 2 * sxy == 1L)
   }
 
   // ---------------------------------------------------------------------
