@@ -7,23 +7,25 @@ import org.apache.spark.sql.types.{DoubleType, StringType}
 import repro.core._
 import repro.core.SparkStage.cleanNum
 import repro.core.Intermediates._
-import repro.stats.LocalStats
 
 /** The comparison baseline: a Pandas-profiling-style profiler.
   *
   * Pandas-profiling (and Modin, per Section 5.1) evaluates *eagerly*: every
   * statistic of every column is its own computation, and nothing is fused
-  * across visualizations. This class reproduces that execution shape on
-  * Spark — one Spark action per statistic per column, one action per
-  * correlation pair, one per nullity pair — while producing numerically
-  * identical intermediates to `Eda.computeReportIntermediates` (verified by
-  * the cross-check suite), so the Table 2 comparison measures execution
-  * strategy, not differing work.
+  * across visualizations. This object reproduces that execution shape on
+  * Spark as an implementation of `Reductions` — one Spark action per
+  * statistic per column, one action per correlation pair per method, one
+  * per nullity pair — and holds no assembly code: its report comes from the
+  * same `Eda.computeReportIntermediates(df, cfg, r)` as the fused one, so
+  * the Table 2 comparison measures execution strategy, not differing work.
+  * Its Pearson coefficients come from per-pair moments rather than the
+  * collected sample, so the cross-check suite still compares two
+  * computations.
   *
   * PhiK / Cramér's V / "recoded" correlations are omitted on both sides,
   * matching the paper's experimental setup (Section 6.1).
   */
-object ProfilingBaseline {
+object ProfilingBaseline extends Reductions {
 
   private def firstDouble(df: DataFrame, e: Column): Double = {
     val r = df.agg(e).head()
@@ -78,140 +80,75 @@ object ProfilingBaseline {
       avgLength = firstDouble(df, avg(length(s))))
   }
 
-  /** One histogram job per column (no posexplode fusion). */
-  def histogram(df: DataFrame, c: String, mn: Double, mx: Double, bins: Int): Histogram = {
-    val w0 = (mx - mn) / bins
-    val w = if (w0.isNaN || w0.isInfinite || w0 <= 0) 1.0 else w0
-    val x = cleanNum(c)
-    val bin = least(lit(bins - 1), greatest(lit(0), floor((x - mn) / w))).cast("int")
-    val rows = df.where(x.isNotNull).groupBy(bin.as("bin")).count().collect()
-    val counts = new Array[Long](bins)
-    rows.foreach { r =>
-      val b = r.getInt(0); if (b >= 0 && b < bins) counts(b) += r.getLong(1)
-    }
-    Histogram(c, Array.tabulate(bins + 1)(i => mn + i * w), counts)
+  def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
+                       withDuplicates: Boolean): SparkStage.TableAggregates = {
+    val rows = df.count()
+    val dups = if (!withDuplicates) 0L else rows - firstLong(df,
+      count_distinct(struct(df.columns.toSeq.map(c => col(c).cast(StringType)): _*)))
+    SparkStage.TableAggregates(rows, dups, numCols.map(c => c -> numericStats(df, c)).toMap,
+      catCols.map(c => c -> categoricalStats(df, c)).toMap)
   }
 
+  /** One histogram job per column (no posexplode fusion). */
+  def histogram(df: DataFrame, c: String, mn: Double, mx: Double, bins: Int): Histogram = {
+    val w = SparkStage.widthOf(mn, mx, bins)
+    val x = cleanNum(c)
+    val rows = df.where(x.isNotNull)
+      .groupBy(SparkStage.binOf(x, lit(mn), lit(w), bins).as("bin")).count().collect()
+    Histogram(c, SparkStage.edgesOf(mn, w, bins),
+      SparkStage.countsOf(bins, rows.map(r => (r.getInt(0), r.getLong(1)))))
+  }
+
+  def histograms(df: DataFrame, cols: Seq[String], mins: Seq[Double], maxs: Seq[Double],
+                 bins: Int): Map[String, Histogram] =
+    cols.indices.map(i => cols(i) -> histogram(df, cols(i), mins(i), maxs(i), bins)).toMap
+
   /** One frequency job per column. */
-  def frequencies(df: DataFrame, c: String, maxDistinct: Int): Seq[(String, Long)] =
-    df.where(col(c).isNotNull)
+  def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =
+    cols.map(c => c -> df.where(col(c).isNotNull)
       .groupBy(col(c).cast(StringType).as("v")).count()
       .orderBy(col("count").desc, col("v"))
       .limit(maxDistinct)
       .collect()
-      .map(r => (r.getString(0), r.getLong(1))).toSeq
+      .map(r => (r.getString(0), r.getLong(1))).toSeq).toMap
 
-  /** One action per correlation pair per method. */
-  def pearsonPair(df: DataFrame, a: String, b: String): LocalStats.PairMoments =
-    SparkStage.pairwiseMoments(df, Seq((a, b)))((a, b))
+  /** One outlier-count action per column. */
+  def outlierCounts(df: DataFrame, fences: Seq[(String, Double, Double)]): Map[String, Long] =
+    fences.map(f => f._1 -> SparkStage.outlierCounts(df, Seq(f))(f._1)).toMap
 
-  def spearmanPair(df: DataFrame, a: String, b: String, rows: Long, maxRows: Long): Double = {
-    val m = SparkStage.collectNumericMatrix(df, Seq(a, b), rows, maxRows) // action per pair
-    LocalStage.spearmanFromMatrix(Seq(a, b), m)((a, b))
-  }
-
-  def kendallPair(df: DataFrame, a: String, b: String, rows: Long, maxRows: Long): Double = {
-    val m = SparkStage.collectNumericMatrix(df, Seq(a, b), rows, maxRows)
-    LocalStage.kendallFromMatrix(Seq(a, b), m)((a, b))
-  }
-
-  /** The eager profile report: same intermediates as the optimized path,
-    * one Spark action per piece of work.
+  /** One action per pair per method: Pearson from the pair's moments,
+    * Spearman and Kendall from the pair's own collect.
     */
-  def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): Eda.ReportIntermediates = {
-    EngineTuning.tune(df.sparkSession) // same session tuning as the optimized path
-    val numCols = TypeDetector.numericColumns(df)
-    val catCols = TypeDetector.categoricalColumns(df)
-    val bins = cfg.int("hist.bins")
-
-    val rows = df.count()
-    val allCols = df.columns.toSeq
-    val dups = rows - firstLong(df,
-      count_distinct(struct(allCols.map(c => col(c).cast(StringType)): _*)))
-
-    // per-column eager stats
-    val numStats = numCols.map(c => c -> numericStats(df, c)).toMap
-    val catStats = catCols.map(c => c -> categoricalStats(df, c)).toMap
-
-    val withData = numCols.map(numStats).filter(_.count > 0)
-    val hists = withData.map(s => s.name -> histogram(df, s.name, s.min, s.max, bins)).toMap
-    val rawFreqs = catCols.map(c => c -> frequencies(df, c, cfg.int("freq.maxdistinct"))).toMap
-    val outliers = withData.map { s =>
-      val (lo, hi) = LocalStage.fences(s)
-      s.name -> SparkStage.outlierCounts(df, Seq((s.name, lo, hi)))(s.name) // one action each
-    }.toMap
-
-    // assemble overview + variables from the eager pieces (local work)
-    val aggs = SparkStage.TableAggregates(rows, dups, numStats, catStats)
-    val overview = Overview.fromAggregates(df, cfg, numCols, catCols, aggs,
-      sharedHists = Some(hists), sharedFreqs = Some(rawFreqs))
-    val variables: Seq[Univariate.UnivariateIntermediates] =
-      numCols.map { c =>
-        Univariate.fromStats(df, numStats(c), cfg,
-          sharedHistogram = Some(hists.getOrElse(c, Histogram(c, Array(0.0, 1.0), Array(0L)))),
-          sharedOutliers = Some(outliers.getOrElse(c, 0L)))
-      } ++ catCols.map { c =>
-        Univariate.fromCatStats(df, catStats(c), cfg,
-          sharedFrequencies = Some(rawFreqs.getOrElse(c, Nil)), withWords = false)
-      }
-
-    // interactions, one job per pair (same pair budget as the optimized path)
-    val k = cfg.int("report.interactions")
-    val pairsI = (for (i <- withData.indices; j <- i + 1 until withData.size)
-      yield (withData(i), withData(j))).take(k)
-    val interactions = pairsI.map { case (a, b) =>
-      SparkStage.grid2d(df, a.name, b.name, a.min, a.max, b.min, b.max,
-        cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins"))
-    }
-
-    // correlations, one action per pair per method
-    val corrCols = numCols.take(cfg.int("corr.maxcols"))
-    val pairs = for (i <- corrCols.indices; j <- i + 1 until corrCols.size)
-      yield (corrCols(i), corrCols(j))
-    val hasVariance = (c: String) => {
-      val s = numStats(c); s.count > 1 && !s.std.isNaN && s.std > 0
-    }
-    val maxKendall = cfg.long("corr.maxrows")
-    val matrices = cfg.strings("corr.methods").map {
-      case "pearson" =>
-        LocalStage.correlationMatrix("pearson", corrCols,
-          pairs.map(p => p -> pearsonPair(df, p._1, p._2).pearson).toMap, hasVariance)
-      case "spearman" =>
-        LocalStage.correlationMatrix("spearman", corrCols,
-          pairs.map(p => p -> spearmanPair(df, p._1, p._2, rows, maxKendall)).toMap, hasVariance)
-      case "kendall" =>
-        LocalStage.correlationMatrix("kendall", corrCols,
-          pairs.map(p => p -> kendallPair(df, p._1, p._2, rows, maxKendall)).toMap, hasVariance)
-    }
-    val correlations = Correlation.CorrelationIntermediates(corrCols,
-      if (corrCols.size < 2) Nil else matrices,
-      if (corrCols.size < 2) Nil
-      else matrices.flatMap(m => Insights.highCorrelations(m, cfg)))
-
-    val missing = missingOverview(df, cfg, rows)
-
-    Eda.ReportIntermediates(overview, variables, interactions, correlations, missing)
+  def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
+                   maxRows: Long): Map[String, Map[(String, String), Double]] = {
+    val pairs = for (i <- cols.indices; j <- i + 1 until cols.size) yield (cols(i), cols(j))
+    methods.map(m => m -> pairs.map { case p @ (a, b) =>
+      p -> (if (m == "pearson") SparkStage.pairwiseMoments(df, Seq(p))(p).pearson
+            else LocalStage.coefficients(Seq(a, b),
+              SparkStage.collectNumericMatrix(df, Seq(a, b), rows, maxRows), Seq(m), Seq((0, 1)))(m)(p))
+    }.toMap).toMap
   }
 
-  /** Eager missing-value overview: one action per column for the bar chart,
-    * one spectrum reduction per column, one both-missing action per nullity
-    * pair; assembled by the same `Missing.assembleOverview` as the fused path.
+  /** One action per column for the bar chart, one spectrum reduction per
+    * column, one both-missing action per nullity pair.
     */
-  def missingOverview(df: DataFrame, cfg: EdaConfig, rows: Long): Missing.MissingOverviewIntermediates = {
-    val cols = df.columns.toSeq
-    val missingCounts = cols.map(c =>
-      firstLong(df, count(when(SparkStage.isMissing(df, c), 1)))) // action per column
-
-    // spectrum: one pass per column (missingno-as-eager shape)
-    val perCol = cols.map(c => SparkStage.missingSpectrum(df, Seq(c), cfg.int("spectrum.bins")))
-    val buckets = perCol.headOption.map(_.buckets).getOrElse(Nil)
-    val fractions = Array.tabulate(buckets.size, cols.size)((b, c) =>
-      perCol(c).missingFraction(b)(0))
-
-    Missing.assembleOverview(cols, rows, missingCounts, MissingSpectrum(cols, buckets, fractions),
-      (i, j) => firstLong(df, count(when( // action per pair
-        SparkStage.isMissing(df, cols(i)) && SparkStage.isMissing(df, cols(j)), 1))), cfg)
+  def missing(df: DataFrame, cols: Seq[String],
+              nBuckets: Int): (Long, Seq[Long], MissingSpectrum, (Int, Int) => Long) = {
+    val missingCounts = cols.map(c => firstLong(df, count(when(SparkStage.isMissing(df, c), 1))))
+    val patterns = cols.map(c => SparkStage.missingPatterns(df, Seq(c), nBuckets))
+    val spectra = patterns.map(_.spectrum)
+    val buckets = spectra.headOption.map(_.buckets).getOrElse(Nil)
+    val fractions = Array.tabulate(buckets.size, cols.size)((b, c) => spectra(c).missingFraction(b)(0))
+    // each column's reduction counts the rows; only a table with no columns needs a count
+    val rows = patterns.headOption.fold(df.count())(_.rows)
+    (rows, missingCounts, MissingSpectrum(cols, buckets, fractions),
+      (i, j) => firstLong(df, count(when(
+        SparkStage.isMissing(df, cols(i)) && SparkStage.isMissing(df, cols(j)), 1))))
   }
+
+  /** The eager profile report: the same intermediates as the fused path. */
+  def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): Eda.ReportIntermediates =
+    Eda.computeReportIntermediates(df, cfg, this)
 
   def createReport(df: DataFrame, config: Map[String, Any] = Map.empty): ReportModel.Report = {
     val cfg = EdaConfig.from(config)

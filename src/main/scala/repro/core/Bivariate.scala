@@ -76,12 +76,8 @@ object Bivariate {
     })
 
     val cats = grouped.map(_._1)
-    val lineHists = SparkStage.groupedHistograms(df, cat, num, cats,
+    val (edges, lineHists) = SparkStage.groupedHistograms(df, cat, num, cats,
       ns.min, ns.max, cfg.int("hist.bins"))
-    val edges = Array.tabulate(cfg.int("hist.bins") + 1) { i =>
-      val w = if (ns.max > ns.min) (ns.max - ns.min) / cfg.int("hist.bins") else 1.0
-      ns.min + i * w
-    }
     val lines = MultiLineChart(cat, num, edges, cats.map(c => c -> lineHists(c)))
 
     CatNumBivariate(cat, num, boxes, lines, Nil)

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.core.Intermediates._
-import repro.stats.LocalStats
 
 /** Correlation task — plot_correlation(df[, col1[, col2]]) (Figure 2).
   *
@@ -42,34 +41,18 @@ object Correlation {
   def matrix(df: DataFrame, cfg: EdaConfig): CorrelationIntermediates = {
     val cols = corrColumns(df, cfg)
     val aggs = SparkStage.columnAggregates(df, cols, Nil, withDuplicates = false)
-    matrixFromAggregates(df, cols, aggs, cfg)
+    matrixFromAggregates(cols, aggs, SparkStage.correlations(df, cols, aggs.rows,
+      cfg.strings("corr.methods"), cfg.long("corr.maxrows")), cfg)
   }
 
-  /** Matrix computation given a shared pass 1 (reused by createReport). */
-  def matrixFromAggregates(df: DataFrame, cols: Seq[String],
-                           aggs: SparkStage.TableAggregates,
+  /** The matrices from pass 1 and every pair's coefficients per method. */
+  def matrixFromAggregates(cols: Seq[String], aggs: SparkStage.TableAggregates,
+                           coefficients: Map[String, Map[(String, String), Double]],
                            cfg: EdaConfig): CorrelationIntermediates = {
     if (cols.size < 2) return CorrelationIntermediates(cols, Nil, Nil)
-    val hasVariance = (c: String) => {
-      val s = aggs.numeric(c); s.count > 1 && !s.std.isNaN && s.std > 0
-    }
-    val methods = cfg.strings("corr.methods")
-    // ONE reduce-to-driver collect feeds all three coefficient matrices
-    lazy val sample = SparkStage.collectNumericMatrix(df, cols, aggs.rows,
-      cfg.long("corr.maxrows"))
-    val matrices = methods.map {
-      case "pearson" =>
-        LocalStage.correlationMatrix("pearson", cols,
-          LocalStage.pearsonFromMatrix(cols, sample), hasVariance)
-      case "spearman" =>
-        LocalStage.correlationMatrix("spearman", cols,
-          LocalStage.spearmanFromMatrix(cols, sample), hasVariance)
-      case "kendall" =>
-        LocalStage.correlationMatrix("kendall", cols,
-          LocalStage.kendallFromMatrix(cols, sample), hasVariance)
-    }
-    val insights = matrices.flatMap(m => Insights.highCorrelations(m, cfg))
-    CorrelationIntermediates(cols, matrices, insights)
+    val matrices = cfg.strings("corr.methods").map(m =>
+      LocalStage.correlationMatrix(m, cols, coefficients(m), aggs.numeric(_).hasVariance))
+    CorrelationIntermediates(cols, matrices, matrices.flatMap(Insights.highCorrelations(_, cfg)))
   }
 
   def vector(df: DataFrame, column: String, cfg: EdaConfig): CorrelationVectorIntermediates = {
@@ -79,29 +62,15 @@ object Correlation {
     val others = cols.filterNot(_ == column)
     val sub = column +: others
     val aggs = SparkStage.columnAggregates(df, sub, Nil, withDuplicates = false)
-    val hasVariance = (c: String) => {
-      val s = aggs.numeric(c); s.count > 1 && !s.std.isNaN && s.std > 0
-    }
-    def vecOf(method: String, coeff: Map[(String, String), Double]) =
-      CorrelationVector(method, column, others,
-        others.map(o => if (hasVariance(column) && hasVariance(o))
-          coeff((column, o)) else Double.NaN).toArray)
-
-    lazy val sample = SparkStage.collectNumericMatrix(df, sub, aggs.rows,
-      cfg.long("corr.maxrows"))
-    def restrict(m: Map[(String, String), Double]): Map[(String, String), Double] =
-      m.collect {
-        case ((a, b), v) if a == column => (a, b) -> v
-        case ((a, b), v) if b == column => (b, a) -> v
-      }
+    val sample = SparkStage.collectNumericMatrix(df, sub, aggs.rows, cfg.long("corr.maxrows"))
+    // only the column's own pairs: (column, other) for every other column
     val methods = cfg.strings("corr.methods")
-    val vectors = methods.map {
-      case "pearson" =>
-        vecOf("pearson", restrict(LocalStage.pearsonFromMatrix(sub, sample)))
-      case "spearman" =>
-        vecOf("spearman", restrict(LocalStage.spearmanFromMatrix(sub, sample)))
-      case "kendall" =>
-        vecOf("kendall", restrict(LocalStage.kendallFromMatrix(sub, sample)))
+    val coefficients = LocalStage.coefficients(sub, sample, methods,
+      others.indices.map(i => (0, i + 1)))
+    val vectors = methods.map { m =>
+      CorrelationVector(m, column, others,
+        others.map(o => if (aggs.numeric(column).hasVariance && aggs.numeric(o).hasVariance)
+          coefficients(m)((column, o)) else Double.NaN).toArray)
     }
     val t = cfg.double("insight.correlation.threshold")
     val insights = vectors.flatMap { v =>
@@ -123,17 +92,13 @@ object Correlation {
     val points = SparkStage.scatterSample(df, c1, c2, cfg.int("scatter.sample"))
     val scatter = ScatterPlot(c1, c2, points, slope, intercept, moments.pearson)
 
-    // spearman/kendall locally on the collected (sampled) pair
+    // spearman/kendall locally on the collected (sampled) pair; pearson is
+    // the exact one from the moments, which also give the regression line
     val sample = SparkStage.collectNumericMatrix(df, Seq(c1, c2),
       totalRows = moments.n, maxRows = cfg.long("corr.maxrows"))
-    val complete = sample(0).indices.filter(i => !sample(0)(i).isNaN && !sample(1)(i).isNaN)
-    val xs = complete.map(sample(0)).toArray
-    val ys = complete.map(sample(1)).toArray
-    val coefficients = cfg.strings("corr.methods").map {
-      case "pearson"  => "pearson" -> moments.pearson
-      case "spearman" => "spearman" -> (if (xs.length > 1) LocalStats.spearman(xs.toSeq, ys.toSeq) else Double.NaN)
-      case "kendall"  => "kendall" -> LocalStats.kendallTauB(xs, ys)
-    }.toMap
+    val local = LocalStage.coefficients(Seq(c1, c2), sample, cfg.strings("corr.methods"),
+      Seq((0, 1))).map { case (m, v) => m -> v((c1, c2)) }
+    val coefficients = if (local.contains("pearson")) local.updated("pearson", moments.pearson) else local
     val t = cfg.double("insight.correlation.threshold")
     val insights = coefficients.toSeq.collect {
       case (m, v) if !v.isNaN && math.abs(v) > t =>

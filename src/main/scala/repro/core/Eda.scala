@@ -103,7 +103,7 @@ object Eda {
       correlations: Correlation.CorrelationIntermediates,
       missing: Missing.MissingOverviewIntermediates)
 
-  /** The optimized report pipeline (the DataPrep.EDA column of Table 2):
+  /** The fused report pipeline (the DataPrep.EDA column of Table 2):
     * O(1) Spark actions regardless of column count —
     *
     *  1. fused per-column aggregates over every column (precompute stage;
@@ -111,58 +111,54 @@ object Eda {
     *     correlation variance bookkeeping),
     *  2. one job for all histograms, one for all frequency tables, one for
     *     all outlier counts,
-    *  3. one moment agg for Pearson, one reduce-to-driver collect shared by
-    *     local Spearman and Kendall,
+    *  3. one reduce-to-driver collect feeding local Pearson, Spearman and
+    *     Kendall,
     *  4. for missing values, one row-count job and one `groupBy(spectrum
     *     bucket, missing pattern)` job; bar counts, spectrum, nullity
     *     correlation and dendrogram all come from the pattern counts,
     *  5. `report.interactions` small 2-D grid jobs.
     */
-  def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): ReportIntermediates = {
+  def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): ReportIntermediates =
+    computeReportIntermediates(df, cfg, SparkStage)
+
+  /** The one report assembly: every section from the reductions `r`, so
+    * the fused and the eager report differ only in how those execute.
+    */
+  private[repro] def computeReportIntermediates(df: DataFrame, cfg: EdaConfig,
+                                                r: Reductions): ReportIntermediates = {
     EngineTuning.tune(df.sparkSession)
     val numCols = TypeDetector.numericColumns(df)
     val catCols = TypeDetector.categoricalColumns(df)
 
-    // pass 1 (shared by everything below)
-    val aggs = SparkStage.columnAggregates(df, numCols, catCols)
+    // pass 1, shared by everything below
+    val aggs = r.columnAggregates(df, numCols, catCols)
     val numStats = numCols.map(aggs.numeric)
-    val withData = numStats.filter(_.count > 0)
+    val hists = r.histogramsOf(df, numStats, cfg.int("hist.bins"))
+    val freqs = r.frequencies(df, catCols, cfg.int("freq.maxdistinct"))
+    val outliers = r.outliersOf(df, numStats)
 
-    // fused per-column reductions
-    val hists = SparkStage.histograms(df, withData.map(_.name),
-      withData.map(_.min), withData.map(_.max), cfg.int("hist.bins"))
-    val rawFreqs = SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct"))
-    val outliers = SparkStage.outlierCounts(df, withData.map { s =>
-      val (lo, hi) = LocalStage.fences(s); (s.name, lo, hi)
-    })
-
-    val overview = Overview.fromAggregates(df, cfg, numCols, catCols, aggs,
-      sharedHists = Some(hists), sharedFreqs = Some(rawFreqs))
-
-    // Variables: all local — every reduction is shared from above
+    val overview = Overview.fromAggregates(cfg, numCols, catCols, aggs, hists, freqs)
     val variables: Seq[Univariate.UnivariateIntermediates] =
-      numCols.map { c =>
-        Univariate.fromStats(df, aggs.numeric(c), cfg,
-          sharedHistogram = Some(hists.getOrElse(c, Histogram(c, Array(0.0, 1.0), Array(0L)))),
-          sharedOutliers = Some(outliers.getOrElse(c, 0L)))
-      } ++ catCols.map { c =>
-        Univariate.fromCatStats(df, aggs.categorical(c), cfg,
-          sharedFrequencies = Some(rawFreqs.getOrElse(c, Nil)), withWords = false)
-      }
+      numStats.map(Univariate.fromStats(_, cfg, hists, outliers)) ++
+        catCols.map(c => Univariate.fromCatStats(aggs.categorical(c), cfg, freqs,
+          WordFrequencies(c, Nil, 0L)))
 
-    // Interactions: 2-D grids for the first k numeric pairs
-    val k = cfg.int("report.interactions")
+    // Interactions: 2-D grids for the first k numeric pairs with data
+    val withData = numStats.filter(_.count > 0)
     val pairs = (for (i <- withData.indices; j <- i + 1 until withData.size)
-      yield (withData(i), withData(j))).take(k)
+      yield (withData(i), withData(j))).take(cfg.int("report.interactions"))
     val interactions = pairs.map { case (a, b) =>
       SparkStage.grid2d(df, a.name, b.name, a.min, a.max, b.min, b.max,
         cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins"))
     }
 
     val corrCols = numCols.take(cfg.int("corr.maxcols"))
-    val correlations = Correlation.matrixFromAggregates(df, corrCols, aggs, cfg)
+    val correlations = Correlation.matrixFromAggregates(corrCols, aggs, r.correlations(df,
+      corrCols, aggs.rows, cfg.strings("corr.methods"), cfg.long("corr.maxrows")), cfg)
 
-    val missing = Missing.overview(df, cfg)
+    val cols = df.columns.toSeq
+    val (rows, missingCounts, spectrum, bothMissing) = r.missing(df, cols, cfg.int("spectrum.bins"))
+    val missing = Missing.assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
 
     ReportIntermediates(overview, variables, interactions, correlations, missing)
   }

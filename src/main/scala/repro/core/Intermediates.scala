@@ -40,6 +40,8 @@ object Intermediates {
     def q3: Double = pct(0.75)
     def iqr: Double = q3 - q1
     def range: Double = max - min
+    /** At least two values with a positive, defined standard deviation. */
+    def hasVariance: Boolean = count > 1 && !std.isNaN && std > 0
   }
 
   final case class CategoricalStats(

@@ -42,48 +42,29 @@ object LocalStage {
     (xs.result(), ys.result())
   }
 
-  /** Evaluate `f` for every column pair of the collected matrix, fanning the
-    * pairs across a thread pool — the local stage's answer to the engine
-    * stage's parallelism (hundreds of O(n log n) pair computations would
-    * otherwise serialize on one core).
+  /** Every requested coefficient of each listed column pair (indices into
+    * `cols`) of the collected numeric matrix, keyed method → pair. A pair's
+    * complete rows are built once and feed every method; Spearman re-ranks
+    * within the pair (pandas semantics). Pairs fan out across a thread pool,
+    * the local stage's answer to the engine stage's parallelism: hundreds
+    * of O(n log n) pair computations would otherwise serialize on one core.
     */
-  private def perPair(cols: Seq[String], matrix: Array[Array[Double]])(
-      f: (Array[Double], Array[Double]) => Double): Map[(String, String), Double] = {
+  def coefficients(cols: Seq[String], matrix: Array[Array[Double]], methods: Seq[String],
+                   pairs: Seq[(Int, Int)]): Map[String, Map[(String, String), Double]] = {
     import scala.concurrent.{Await, ExecutionContext, Future}
     import scala.concurrent.duration.Duration
     implicit val ec: ExecutionContext = ExecutionContext.global
-    val pairs = for (i <- cols.indices; j <- i + 1 until cols.size) yield (i, j)
-    val futures = pairs.map { case (i, j) => Future {
+    val perPair = Await.result(Future.sequence(pairs.map { case (i, j) => Future {
       val (xs, ys) = completePairs(matrix, i, j)
-      (cols(i), cols(j)) -> f(xs, ys)
-    }}
-    Await.result(Future.sequence(futures), Duration.Inf).toMap
+      methods.map {
+        case "pearson" => if (xs.length > 1) LocalStats.pearsonArrays(xs, ys) else Double.NaN
+        case "spearman" => if (xs.length > 1) LocalStats.spearmanArrays(xs, ys) else Double.NaN
+        case "kendall" => LocalStats.kendallTauB(xs, ys)
+      }
+    }}), Duration.Inf)
+    val keys = pairs.map { case (i, j) => (cols(i), cols(j)) }
+    methods.zipWithIndex.map { case (m, k) => m -> keys.zip(perPair.map(_(k))).toMap }.toMap
   }
-
-  /** Pearson per pair from the collected numeric matrix (pairwise-complete
-    * deletion) — the local side of the §5.2 engine/local boundary: below the
-    * sampling threshold, one collect feeds all three coefficient matrices.
-    */
-  def pearsonFromMatrix(cols: Seq[String],
-                        matrix: Array[Array[Double]]): Map[(String, String), Double] =
-    perPair(cols, matrix)((xs, ys) =>
-      if (xs.length > 1) LocalStats.pearsonArrays(xs, ys) else Double.NaN)
-
-  /** Kendall tau-b per pair from the collected numeric matrix;
-    * pairwise-complete deletion per pair.
-    */
-  def kendallFromMatrix(cols: Seq[String],
-                        matrix: Array[Array[Double]]): Map[(String, String), Double] =
-    perPair(cols, matrix)(LocalStats.kendallTauB)
-
-  /** Spearman per pair from the collected numeric matrix: pairwise-complete
-    * deletion, then re-rank within the pair (pandas semantics). Shares the
-    * one matrix collect with Pearson and Kendall.
-    */
-  def spearmanFromMatrix(cols: Seq[String],
-                         matrix: Array[Array[Double]]): Map[(String, String), Double] =
-    perPair(cols, matrix)((xs, ys) =>
-      if (xs.length > 1) LocalStats.spearmanArrays(xs, ys) else Double.NaN)
 
   /** Tukey box plot from the quantile grid; whiskers clamp the 1.5·IQR
     * fences to the observed min/max; `outliers` counted by the distributed
@@ -129,7 +110,7 @@ object LocalStage {
     * p = 1..99 % vs. mean + std · Φ⁻¹(p).
     */
   def qqPlot(stats: NumericStats, points: Int): QQPlot = {
-    if (stats.count < 2 || stats.std.isNaN || stats.std <= 0 || stats.percentiles.isEmpty)
+    if (!stats.hasVariance || stats.percentiles.isEmpty)
       return QQPlot(stats.name, Array.empty, Array.empty)
     val ps = (1 to math.min(points, 99)).map(_ / 100.0)
     val theoretical = ps.map(p => stats.mean + stats.std * LocalStats.normalPpf(p)).toArray

@@ -49,10 +49,10 @@ object Missing {
 
   /** plot_missing(df): one `missingPatterns` reduction, two Spark jobs. */
   def overview(df: DataFrame, cfg: EdaConfig): MissingOverviewIntermediates = {
-    val patterns = SparkStage.missingPatterns(df, df.columns.toSeq, cfg.int("spectrum.bins"))
-    val both = patterns.bothMissing
-    assembleOverview(patterns.columns, patterns.rows, both.indices.map(i => both(i)(i)),
-      patterns.spectrum, both(_)(_), cfg)
+    val cols = df.columns.toSeq
+    val (rows, missingCounts, spectrum, bothMissing) =
+      SparkStage.missing(df, cols, cfg.int("spectrum.bins"))
+    assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
   }
 
   /** The overview from the row count, each column's missing count, the

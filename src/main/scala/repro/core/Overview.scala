@@ -25,27 +25,20 @@ object Overview {
     val catCols = TypeDetector.categoricalColumns(df)
 
     val aggs = SparkStage.columnAggregates(df, numCols, catCols)
-    fromAggregates(df, cfg, numCols, catCols, aggs)
+    fromAggregates(cfg, numCols, catCols, aggs,
+      SparkStage.histogramsOf(df, numCols.map(aggs.numeric), cfg.int("hist.bins")),
+      SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
   }
 
-  /** Build the overview from an already-computed pass 1 — createReport
-    * shares one `columnAggregates` across every report section.
+  /** The overview from pass 1, the histograms of the numeric columns with
+    * data and the value counts of the categorical columns.
     */
-  def fromAggregates(df: DataFrame, cfg: EdaConfig, numCols: Seq[String],
-                     catCols: Seq[String],
-                     aggs: SparkStage.TableAggregates,
-                     sharedHists: Option[Map[String, Histogram]] = None,
-                     sharedFreqs: Option[Map[String, Seq[(String, Long)]]] = None): OverviewIntermediates = {
-    val bins = cfg.int("hist.bins")
+  def fromAggregates(cfg: EdaConfig, numCols: Seq[String], catCols: Seq[String],
+                     aggs: SparkStage.TableAggregates, hists: Map[String, Histogram],
+                     rawFreqs: Map[String, Seq[(String, Long)]]): OverviewIntermediates = {
     val numStats = numCols.map(aggs.numeric)
     val catStats = catCols.map(aggs.categorical)
 
-    val withData = numStats.filter(s => s.count > 0)
-    val hists = sharedHists.getOrElse(SparkStage.histograms(df, withData.map(_.name),
-      withData.map(_.min), withData.map(_.max), bins))
-
-    val rawFreqs = sharedFreqs.getOrElse(
-      SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
     val topK = cfg.int("bar.topk")
     val freqs = catStats.map { s =>
       s.name -> CategoryFrequencies(s.name,

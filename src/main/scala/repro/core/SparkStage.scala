@@ -19,8 +19,11 @@ import repro.stats.LocalStats.PairMoments
   * needs as literals (bin widths, rank denominators) come from a prior
   * `columnAggregates` pass — the analog of the paper's eager chunk-size
   * precompute stage.
+  *
+  * It is also the fused implementation of `Reductions`, the reductions the
+  * profile report is assembled from.
   */
-object SparkStage {
+object SparkStage extends Reductions {
 
   /** Quantile grid computed for every numeric column: 0, 0.01..0.99, 1. */
   val PercentileProbs: Array[Double] =
@@ -80,7 +83,7 @@ object SparkStage {
     * before touching any data).
     */
   def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
-                       withDuplicates: Boolean = true): TableAggregates = {
+                       withDuplicates: Boolean): TableAggregates = {
     val rows = df.count()
 
     val numeric: Map[String, NumericStats] = if (numCols.isEmpty) Map.empty else {
@@ -159,22 +162,34 @@ object SparkStage {
   // Histograms: ALL numeric columns in one posexplode → groupBy job.
   // ---------------------------------------------------------------------
 
-  private def binExpr(mins: Seq[Double], widths: Seq[Double], bins: Int): Column = {
-    val minArr = array(mins.map(lit(_)): _*)
-    val widthArr = array(widths.map(lit(_)): _*)
-    least(lit(bins - 1), greatest(lit(0),
-      floor((col("value") - element_at(minArr, col("pos") + 1)) /
-            element_at(widthArr, col("pos") + 1)))).cast("int")
+  /** Bin index of `x` in `bins` bins of `width` from `lo`; values outside
+    * the range clamp to the first or last bin.
+    */
+  private[repro] def binOf(x: Column, lo: Column, width: Column, bins: Int): Column =
+    least(lit(bins - 1), greatest(lit(0), floor((x - lo) / width))).cast("int")
+
+  /** Per-column bin of the exploded `value` at `pos`. */
+  private def binExpr(mins: Seq[Double], widths: Seq[Double], bins: Int): Column =
+    binOf(col("value"), element_at(array(mins.map(lit(_)): _*), col("pos") + 1),
+      element_at(array(widths.map(lit(_)): _*), col("pos") + 1), bins)
+
+  /** Bin width of [lo, hi] in `bins` bins; 1.0 when the range is empty,
+    * undefined or overflows a double.
+    */
+  private[repro] def widthOf(lo: Double, hi: Double, bins: Int): Double = {
+    val w = (hi - lo) / bins
+    if (w.isNaN || w.isInfinite || w <= 0) 1.0 else w
   }
 
-  private def widthsOf(mins: Seq[Double], maxs: Seq[Double], bins: Int): Seq[Double] =
-    mins.zip(maxs).map { case (lo, hi) =>
-      val w = (hi - lo) / bins
-      if (w.isNaN || w.isInfinite || w <= 0) 1.0 else w
-    }
-
-  private def edgesOf(lo: Double, width: Double, bins: Int): Array[Double] =
+  private[repro] def edgesOf(lo: Double, width: Double, bins: Int): Array[Double] =
     Array.tabulate(bins + 1)(i => lo + i * width)
+
+  /** Dense counts of `bins` bins from (bin, count) cells. */
+  private[repro] def countsOf(bins: Int, cells: Iterable[(Int, Long)]): Array[Long] = {
+    val counts = new Array[Long](bins)
+    cells.foreach { case (b, n) => if (b >= 0 && b < bins) counts(b) += n }
+    counts
+  }
 
   /** Histograms of every listed numeric column, one Spark action.
     * `mins`/`maxs` come from `columnAggregates` (the precompute stage).
@@ -182,26 +197,16 @@ object SparkStage {
   def histograms(df: DataFrame, cols: Seq[String], mins: Seq[Double],
                  maxs: Seq[Double], bins: Int): Map[String, Histogram] = {
     if (cols.isEmpty) return Map.empty
-    val widths = widthsOf(mins, maxs, bins)
+    val widths = mins.zip(maxs).map { case (lo, hi) => widthOf(lo, hi, bins) }
     val arr = array(cols.map(cleanNum): _*)
-    val rows = df.select(posexplode(arr).as(Seq("pos", "value")))
+    val byPos = df.select(posexplode(arr).as(Seq("pos", "value")))
       .where(col("value").isNotNull)
       .groupBy(col("pos"), binExpr(mins, widths, bins).as("bin"))
       .count()
       .collect()
-    assembleHistograms(cols, mins, widths, bins, rows.map(r =>
-      (r.getInt(0), r.getInt(1), r.getLong(2))))
-  }
-
-  private def assembleHistograms(cols: Seq[String], mins: Seq[Double], widths: Seq[Double],
-                                 bins: Int, rows: Seq[(Int, Int, Long)]): Map[String, Histogram] = {
-    val byPos = rows.groupBy(_._1)
+      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2)))
     cols.zipWithIndex.map { case (c, p) =>
-      val counts = new Array[Long](bins)
-      byPos.getOrElse(p, Nil).foreach { case (_, b, n) =>
-        if (b >= 0 && b < bins) counts(b) += n
-      }
-      c -> Histogram(c, edgesOf(mins(p), widths(p), bins), counts)
+      c -> Histogram(c, edgesOf(mins(p), widths(p), bins), countsOf(bins, byPos.getOrElse(p, Nil)))
     }.toMap
   }
 
@@ -214,25 +219,19 @@ object SparkStage {
                        maxs: Seq[Double], bins: Int,
                        keep: Column): Map[String, ImpactHistogram] = {
     if (cols.isEmpty) return Map.empty
-    val widths = widthsOf(mins, maxs, bins)
+    val widths = mins.zip(maxs).map { case (lo, hi) => widthOf(lo, hi, bins) }
     val arr = array(cols.map(cleanNum): _*)
-    val rows = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
+    val byPos = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
       .where(col("value").isNotNull)
       .groupBy(col("pos"), binExpr(mins, widths, bins).as("bin"), col("keep"))
       .count()
       .collect()
-    val byPos = rows.map(r => (r.getInt(0), r.getInt(1), r.getBoolean(2), r.getLong(3)))
-      .toSeq.groupBy(_._1)
+      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getBoolean(2), r.getLong(3)))
     cols.zipWithIndex.map { case (c, p) =>
-      val before = new Array[Long](bins)
-      val after = new Array[Long](bins)
-      byPos.getOrElse(p, Nil).foreach { case (_, b, k, n) =>
-        if (b >= 0 && b < bins) {
-          before(b) += n
-          if (k) after(b) += n
-        }
-      }
-      c -> ImpactHistogram(c, edgesOf(mins(p), widths(p), bins), before, after)
+      val cells = byPos.getOrElse(p, Nil)
+      c -> ImpactHistogram(c, edgesOf(mins(p), widths(p), bins),
+        countsOf(bins, cells.map { case (b, _, n) => (b, n) }),
+        countsOf(bins, cells.collect { case (b, true, n) => (b, n) }))
     }.toMap
   }
 
@@ -360,6 +359,15 @@ object SparkStage {
     out
   }
 
+  /** Every coefficient of every pair of `cols`: one sampled collect of the
+    * numeric matrix feeds all methods, computed locally.
+    */
+  def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
+                   maxRows: Long): Map[String, Map[(String, String), Double]] =
+    if (cols.size < 2) Map.empty
+    else LocalStage.coefficients(cols, collectNumericMatrix(df, cols, rows, maxRows), methods,
+      for (i <- cols.indices; j <- i + 1 until cols.size) yield (i, j))
+
   // ---------------------------------------------------------------------
   // Missing-value reductions.
   // ---------------------------------------------------------------------
@@ -433,9 +441,13 @@ object SparkStage {
       IndexedSeq.tabulate(words.size)(w => row.getLong(w + 1)), row.getLong(words.size + 1))))
   }
 
-  /** Missing fraction per column per row-bucket (the missing spectrum). */
-  def missingSpectrum(df: DataFrame, cols: Seq[String], nBuckets: Int): MissingSpectrum =
-    missingPatterns(df, cols, nBuckets).spectrum
+  /** The missing overview's inputs from one `missingPatterns` reduction. */
+  def missing(df: DataFrame, cols: Seq[String],
+              nBuckets: Int): (Long, Seq[Long], MissingSpectrum, (Int, Int) => Long) = {
+    val patterns = missingPatterns(df, cols, nBuckets)
+    val both = patterns.bothMissing
+    (patterns.rows, both.indices.map(i => both(i)(i)), patterns.spectrum, both(_)(_))
+  }
 
   // ---------------------------------------------------------------------
   // Bivariate reductions.
@@ -445,19 +457,16 @@ object SparkStage {
   def grid2d(df: DataFrame, x: String, y: String,
              xMin: Double, xMax: Double, yMin: Double, yMax: Double,
              xBins: Int, yBins: Int): Grid2D = {
-    val xw = widthsOf(Seq(xMin), Seq(xMax), xBins).head
-    val yw = widthsOf(Seq(yMin), Seq(yMax), yBins).head
+    val xw = widthOf(xMin, xMax, xBins)
+    val yw = widthOf(yMin, yMax, yBins)
     val xc = cleanNum(x); val yc = cleanNum(y)
-    val xb = least(lit(xBins - 1), greatest(lit(0), floor((xc - xMin) / xw))).cast("int")
-    val yb = least(lit(yBins - 1), greatest(lit(0), floor((yc - yMin) / yw))).cast("int")
-    val rows = df.where(xc.isNotNull && yc.isNotNull)
-      .groupBy(xb.as("xb"), yb.as("yb")).count().collect()
-    val counts = Array.ofDim[Long](xBins, yBins)
-    rows.foreach { r =>
-      val i = r.getInt(0); val j = r.getInt(1)
-      if (i >= 0 && i < xBins && j >= 0 && j < yBins) counts(i)(j) += r.getLong(2)
-    }
-    Grid2D(x, y, edgesOf(xMin, xw, xBins), edgesOf(yMin, yw, yBins), counts)
+    val byX = df.where(xc.isNotNull && yc.isNotNull)
+      .groupBy(binOf(xc, lit(xMin), lit(xw), xBins).as("xb"),
+        binOf(yc, lit(yMin), lit(yw), yBins).as("yb"))
+      .count().collect()
+      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2)))
+    Grid2D(x, y, edgesOf(xMin, xw, xBins), edgesOf(yMin, yw, yBins),
+      Array.tabulate(xBins)(i => countsOf(yBins, byX.getOrElse(i, Nil))))
   }
 
   /** Quantiles + count of `y` within each `x` bin (binned box plot), one
@@ -466,11 +475,10 @@ object SparkStage {
   def binnedQuantiles(df: DataFrame, x: String, y: String,
                       xMin: Double, xMax: Double,
                       bins: Int): (Array[Double], Seq[(Int, Array[Double], Long)]) = {
-    val w = widthsOf(Seq(xMin), Seq(xMax), bins).head
+    val w = widthOf(xMin, xMax, bins)
     val xc = cleanNum(x); val yc = cleanNum(y)
-    val xb = least(lit(bins - 1), greatest(lit(0), floor((xc - xMin) / w))).cast("int")
     val rows = df.where(xc.isNotNull && yc.isNotNull)
-      .groupBy(xb.as("xb"))
+      .groupBy(binOf(xc, lit(xMin), lit(w), bins).as("xb"))
       .agg(percentile_approx(yc, lit(Array(0.0, 0.25, 0.5, 0.75, 1.0)),
              lit(PercentileAccuracy)).as("qs"),
            count(lit(1)).as("cnt"))
@@ -499,26 +507,20 @@ object SparkStage {
   }
 
   /** Histogram of a numeric column within each of the given categories
-    * (multi-line chart), one action. Binning fixed from full min/max.
+    * (multi-line chart), one action. Binning fixed from full min/max;
+    * returns the bin edges with the counts per category.
     */
   def groupedHistograms(df: DataFrame, cat: String, num: String,
                         categories: Seq[String], min: Double, max: Double,
-                        bins: Int): Map[String, Array[Long]] = {
-    if (categories.isEmpty) return Map.empty
-    val w = widthsOf(Seq(min), Seq(max), bins).head
+                        bins: Int): (Array[Double], Map[String, Array[Long]]) = {
+    val w = widthOf(min, max, bins)
+    if (categories.isEmpty) return (edgesOf(min, w, bins), Map.empty)
     val yc = cleanNum(num)
-    val bin = least(lit(bins - 1), greatest(lit(0), floor((yc - min) / w))).cast("int")
     val catStr = col(cat).cast(StringType)
-    val rows = df.where(catStr.isin(categories: _*) && yc.isNotNull)
-      .groupBy(catStr.as("g"), bin.as("bin")).count().collect()
-    val byCat = rows.map(r => (r.getString(0), r.getInt(1), r.getLong(2))).toSeq.groupBy(_._1)
-    categories.map { c =>
-      val counts = new Array[Long](bins)
-      byCat.getOrElse(c, Nil).foreach { case (_, b, n) =>
-        if (b >= 0 && b < bins) counts(b) += n
-      }
-      c -> counts
-    }.toMap
+    val byCat = df.where(catStr.isin(categories: _*) && yc.isNotNull)
+      .groupBy(catStr.as("g"), binOf(yc, lit(min), lit(w), bins).as("bin")).count().collect()
+      .toSeq.groupMap(_.getString(0))(r => (r.getInt(1), r.getLong(2)))
+    (edgesOf(min, w, bins), categories.map(c => c -> countsOf(bins, byCat.getOrElse(c, Nil))).toMap)
   }
 
   /** Cross tabulation of two categorical columns, one action, capped at the

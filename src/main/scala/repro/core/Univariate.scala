@@ -39,29 +39,18 @@ object Univariate {
     }
 
   def numeric(df: DataFrame, column: String, cfg: EdaConfig): NumericUnivariate = {
-    val aggs = SparkStage.columnAggregates(df, Seq(column), Nil, withDuplicates = false)
-    fromStats(df, aggs.numeric(column), cfg)
+    val s = SparkStage.columnAggregates(df, Seq(column), Nil, withDuplicates = false).numeric(column)
+    fromStats(s, cfg, SparkStage.histogramsOf(df, Seq(s), cfg.int("hist.bins")),
+      SparkStage.outliersOf(df, Seq(s)))
   }
 
-  /** Numeric univariate from already-computed pass-1 stats (createReport
-    * shares pass 1; histograms/outliers may also be shared via the
-    * `sharedHistogram`/`sharedOutliers` hooks).
+  /** Numeric univariate from pass-1 stats, the histograms and the outlier
+    * counts; a column with no data gets an empty histogram and no outliers.
     */
-  def fromStats(df: DataFrame, s: NumericStats, cfg: EdaConfig,
-                sharedHistogram: Option[Histogram] = None,
-                sharedOutliers: Option[Long] = None): NumericUnivariate = {
-    val bins = cfg.int("hist.bins")
-    val hist = sharedHistogram.getOrElse {
-      if (s.count == 0) Histogram(s.name, Array(0.0, 1.0), Array(0L))
-      else SparkStage.histograms(df, Seq(s.name), Seq(s.min), Seq(s.max), bins)(s.name)
-    }
-    val outliers = sharedOutliers.getOrElse {
-      if (s.count == 0) 0L
-      else {
-        val (lo, hi) = LocalStage.fences(s)
-        SparkStage.outlierCounts(df, Seq((s.name, lo, hi)))(s.name)
-      }
-    }
+  def fromStats(s: NumericStats, cfg: EdaConfig, hists: Map[String, Histogram],
+                outlierCounts: Map[String, Long]): NumericUnivariate = {
+    val hist = hists.getOrElse(s.name, Histogram(s.name, Array(0.0, 1.0), Array(0L)))
+    val outliers = outlierCounts.getOrElse(s.name, 0L)
     val kde = LocalStage.kdeCurve(s, hist, cfg.int("hist.gridpoints"))
     val qq = LocalStage.qqPlot(s, cfg.int("qq.points"))
     val box = LocalStage.boxPlot(s, outliers)
@@ -70,22 +59,20 @@ object Univariate {
   }
 
   def categorical(df: DataFrame, column: String, cfg: EdaConfig): CategoricalUnivariate = {
-    val aggs = SparkStage.columnAggregates(df, Nil, Seq(column), withDuplicates = false)
-    fromCatStats(df, aggs.categorical(column), cfg, sharedFrequencies = None)
+    val s = SparkStage.columnAggregates(df, Nil, Seq(column), withDuplicates = false)
+      .categorical(column)
+    fromCatStats(s, cfg, SparkStage.frequencies(df, Seq(column), cfg.int("freq.maxdistinct")),
+      SparkStage.wordFrequencies(df, column, cfg.int("wordfreq.topk")))
   }
 
-  /** Categorical univariate; `withWords = false` skips the word-frequency
-    * pass (createReport omits word clouds, matching the profile report).
+  /** Categorical univariate from pass-1 stats, the value counts and the
+    * word frequencies (empty in createReport, which omits word clouds,
+    * matching the profile report).
     */
-  def fromCatStats(df: DataFrame, s: CategoricalStats, cfg: EdaConfig,
-                sharedFrequencies: Option[Seq[(String, Long)]],
-                withWords: Boolean = true): CategoricalUnivariate = {
-    val raw = sharedFrequencies.getOrElse(
-      SparkStage.frequencies(df, Seq(s.name), cfg.int("freq.maxdistinct"))(s.name))
-    val freq = CategoryFrequencies(s.name, raw.take(cfg.int("bar.topk")), s.distinct, s.count)
-    val words =
-      if (withWords) SparkStage.wordFrequencies(df, s.name, cfg.int("wordfreq.topk"))
-      else WordFrequencies(s.name, Nil, 0L)
+  def fromCatStats(s: CategoricalStats, cfg: EdaConfig, rawFreqs: Map[String, Seq[(String, Long)]],
+                   words: WordFrequencies): CategoricalUnivariate = {
+    val freq = CategoryFrequencies(s.name, rawFreqs.getOrElse(s.name, Nil).take(cfg.int("bar.topk")),
+      s.distinct, s.count)
     CategoricalUnivariate(s, freq, words, Insights.categorical(s, cfg))
   }
 }

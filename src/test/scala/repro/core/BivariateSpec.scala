@@ -79,6 +79,13 @@ class BivariateSpec extends SparkSpec with TestHelpers {
     assert(cn.boxes.boxes.map(_._1) == Seq("a", "b"))
   }
 
+  test("NC: line edges stay finite when the column's range overflows a double") {
+    val huge = Seq(("a", -1e308), ("a", 0.0), ("b", 1e308), ("b", 5.0), ("b", -7.0)).toDF("g", "v")
+    val cn = Bivariate.catNum(huge, "g", "v", cfg)
+    assert(cn.lines.edges.forall(e => !e.isNaN && !e.isInfinite), cn.lines.edges.toSeq)
+    assert(cn.lines.lines.map(_._2.sum).sum == 5)
+  }
+
   private lazy val ccDf = Seq(
     ("r1", "c1"), ("r1", "c1"), ("r1", "c2"), ("r2", "c2"), ("r2", "c2"), ("r2", "c1"),
   ).toDF("a", "b").cache()

@@ -46,7 +46,7 @@ class CorrelationSpec extends SparkSpec with TestHelpers {
   test("matrix: spearman matches the local reference") {
     val sp = inter.matrices.find(_.method == "spearman").get
     val xs = collectDoubles(df, "x"); val ys = collectDoubles(df, "y")
-    assertApprox(sp(0, 1), LocalStats.spearman(xs, ys), 1e-9, "spearman xy")
+    assertApprox(sp(0, 1), LocalStats.spearmanArrays(xs.toArray, ys.toArray), 1e-9, "spearman xy")
   }
 
   test("matrix: kendall matches the local reference") {

@@ -4,6 +4,7 @@ import java.util.concurrent.atomic.AtomicLong
 
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
 import repro.data.EdaData
@@ -40,7 +41,31 @@ class JobCountSpec extends SparkSpec {
   }
 
   test("createReport runs as many Spark jobs on a wide table as on a narrow one") {
-    val n = jobsOf(Eda.createReport(narrow))
-    assert(n == jobsOf(Eda.createReport(wide)))
+    assert(jobsOf(Eda.createReport(narrow)) == 16)
+    assert(jobsOf(Eda.createReport(wide)) == 16)
+  }
+
+  /** Spark jobs of each fine-grained task: a shared reduction that is
+    * dropped, or a fused one that is split, changes a count.
+    */
+  private val taskJobs: Seq[(String, DataFrame => Any, Long)] = Seq(
+    ("plot(df)", Eda.plot(_), 7),
+    ("plot(df, num_0)", Eda.plot(_, "num_0"), 5),
+    ("plot(df, cat_0)", Eda.plot(_, "cat_0"), 4),
+    ("plot(df, num_0, num_1)", Eda.plot(_, "num_0", "num_1"), 8),
+    ("plot(df, cat_0, num_1)", Eda.plot(_, "cat_0", "num_1"), 5),
+    ("plot(df, cat_0, cat_1)", Eda.plot(_, "cat_0", "cat_1"), 1),
+    ("plotCorrelation(df)", Eda.plotCorrelation(_), 4),
+    ("plotCorrelation(df, num_0)", Eda.plotCorrelation(_, "num_0"), 4),
+    ("plotCorrelation(df, num_0, num_1)", Eda.plotCorrelation(_, "num_0", "num_1"), 4),
+    ("plotMissing(df, num_0)", Eda.plotMissing(_, "num_0"), 7),
+    ("plotMissing(df, num_0, cat_2)", Eda.plotMissing(_, "num_0", "cat_2"), 2),
+  )
+
+  taskJobs.foreach { case (task, run, jobs) =>
+    test(s"$task runs $jobs Spark jobs on a narrow and a wide table") {
+      assert(jobsOf(run(narrow)) == jobs)
+      assert(jobsOf(run(wide)) == jobs)
+    }
   }
 }

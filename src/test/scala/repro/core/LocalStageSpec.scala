@@ -24,12 +24,12 @@ class LocalStageSpec extends AnyFunSuite {
     assert(m(0, 0) == 1.0 && m(1, 1).isNaN)
   }
 
-  test("kendallFromMatrix: pairwise-complete deletion") {
+  test("coefficients: kendall uses pairwise-complete deletion") {
     val cols = Seq("x", "y")
     val matrix = Array(
       Array(1.0, 2.0, Double.NaN, 4.0),
       Array(1.0, Double.NaN, 3.0, 4.0))
-    val k = LocalStage.kendallFromMatrix(cols, matrix)(("x", "y"))
+    val k = LocalStage.coefficients(cols, matrix, Seq("kendall"), Seq((0, 1)))("kendall")(("x", "y"))
     // complete rows: (1,1), (4,4) -> perfectly concordant
     assert(approx(k, 1.0))
   }

@@ -25,7 +25,10 @@ class MissingPatternsSpec extends SparkSpec with TestHelpers {
 
   private def assertSameAsBaseline(df: DataFrame): Missing.MissingOverviewIntermediates = {
     val fast = Missing.overview(df, cfg)
-    val slow = ProfilingBaseline.missingOverview(df, cfg, df.count())
+    val cols = df.columns.toSeq
+    val (rows, missingCounts, spectrum, bothMissing) =
+      ProfilingBaseline.missing(df, cols, cfg.int("spectrum.bins"))
+    val slow = Missing.assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
     assert(fast.bar == slow.bar)
     val (a, b) = (fast.spectrum, slow.spectrum)
     assert(a.columns == b.columns && a.buckets == b.buckets)

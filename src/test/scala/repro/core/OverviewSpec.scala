@@ -77,8 +77,8 @@ class OverviewSpec extends SparkSpec with TestHelpers {
   test("fromAggregates honors shared reductions (no recompute)") {
     val aggs = SparkStage.columnAggregates(df, Seq("x", "y"), Seq("c"))
     val myHist = Map("x" -> Intermediates.Histogram("x", Array(0.0, 1.0), Array(1L)))
-    val ov = Overview.fromAggregates(df, cfg, Seq("x", "y"), Seq("c"), aggs,
-      sharedHists = Some(myHist), sharedFreqs = Some(Map("c" -> Seq(("z", 9L)))))
+    val ov = Overview.fromAggregates(cfg, Seq("x", "y"), Seq("c"), aggs,
+      myHist, Map("c" -> Seq(("z", 9L))))
     assert(ov.histograms eq myHist)
     assert(ov.frequencies("c").topK == Seq(("z", 9L)))
   }

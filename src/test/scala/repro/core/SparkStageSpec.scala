@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestHelpers}
-import repro.stats.LocalStats
+import repro.stats.{LocalStats, References}
 
 /** Distributed-stage reductions, oracle-checked against DuckDB. */
 class SparkStageSpec extends SparkSpec with TestHelpers {
@@ -67,7 +67,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("columnAggregates: skewness matches local population formula") {
     val vals = collectDoubles(df, "x")
-    assertApprox(xs.skewness, LocalStats.skewness(vals), 1e-6, "skewness")
+    assertApprox(xs.skewness, References.skewness(vals), 1e-6, "skewness")
   }
 
   test("columnAggregates: median from the percentile grid is exact on odd data") {
@@ -225,7 +225,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     val m = SparkStage.pairwiseMoments(d2, Seq(("x", "y")))(("x", "y"))
     assert(m.n == 3) // rows where both present
     assertApprox(m.pearson,
-      LocalStats.pearson(Seq(1.0, 4.0, 5.0), Seq(1.0, 4.0, 6.0)), 1e-9, "pairwise pearson")
+      LocalStats.pearsonArrays(Array(1.0, 4.0, 5.0), Array(1.0, 4.0, 6.0)), 1e-9, "pairwise pearson")
   }
 
   test("pairwiseMoments: many pairs in one action") {
@@ -256,7 +256,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   // ---------------------------------------------------------------------
 
   test("missingSpectrum: per-column missing totals match the bar counts") {
-    val sp = SparkStage.missingSpectrum(df, Seq("x", "s"), 3)
+    val sp = SparkStage.missingPatterns(df, Seq("x", "s"), 3).spectrum
     val missX = sp.buckets.indices.map(b =>
       sp.missingFraction(b)(0) * (sp.buckets(b)._2 - sp.buckets(b)._1 + 1)).sum
     val missS = sp.buckets.indices.map(b =>
@@ -266,7 +266,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   }
 
   test("missingSpectrum: buckets partition the rows") {
-    val sp = SparkStage.missingSpectrum(df, Seq("x"), 3)
+    val sp = SparkStage.missingPatterns(df, Seq("x"), 3).spectrum
     assert(sp.buckets.head._1 == 0)
     assert(sp.buckets.last._2 == 6)
     assert(sp.buckets.sliding(2).forall(p => p(0)._2 + 1 == p(1)._1))
@@ -330,7 +330,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("groupedHistograms: per-category totals") {
     val d2 = Seq(("a", 1.0), ("a", 2.0), ("b", 3.0)).toDF("g", "v")
-    val hs = SparkStage.groupedHistograms(d2, "g", "v", Seq("a", "b"), 1.0, 3.0, 2)
+    val (_, hs) = SparkStage.groupedHistograms(d2, "g", "v", Seq("a", "b"), 1.0, 3.0, 2)
     assert(hs("a").sum == 2 && hs("b").sum == 1)
   }
 

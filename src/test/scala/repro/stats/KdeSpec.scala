@@ -28,7 +28,7 @@ class KdeSpec extends AnyFunSuite {
     val rnd = new Random(1)
     val xs = Seq.fill(5000)(rnd.nextGaussian() * 3 + 10)
     val (centers, counts, mn, mx) = histOf(xs, 50)
-    val std = LocalStats.stddev(xs)
+    val std = References.stddev(xs)
     val (grid, density) = Kde.fromHistogram(centers, counts, mn, mx, std, 400)
     val step = grid(1) - grid(0)
     val integral = density.sum * step
@@ -39,7 +39,7 @@ class KdeSpec extends AnyFunSuite {
     val rnd = new Random(2)
     val xs = Seq.fill(5000)(rnd.nextGaussian() * 2 + 7)
     val (centers, counts, mn, mx) = histOf(xs, 50)
-    val (grid, density) = Kde.fromHistogram(centers, counts, mn, mx, LocalStats.stddev(xs), 400)
+    val (grid, density) = Kde.fromHistogram(centers, counts, mn, mx, References.stddev(xs), 400)
     val peak = grid(density.indexOf(density.max))
     assert(math.abs(peak - 7.0) < 1.0, s"peak=$peak")
   }
