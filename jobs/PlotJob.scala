@@ -13,7 +13,8 @@ import repro.data.EdaData
   */
 object PlotJob {
   def main(args: Array[String]): Unit = {
-    require(args.length >= 2, "usage: PlotJob <plot|plot_correlation|plot_missing> <dataset> [col1] [col2]")
+    require(args.length >= 2 && args.length <= 4,
+      "usage: PlotJob <plot|plot_correlation|plot_missing> <dataset> [col1] [col2]")
     val func = args(0)
     val name = args(1)
     val cols = args.drop(2).toSeq
@@ -27,17 +28,12 @@ object PlotJob {
       val df = EdaData.dataset(spark, spec).cache()
       df.count()
       val t0 = System.nanoTime()
-      val report = (func, cols) match {
-        case ("plot", Seq())        => Eda.plot(df)
-        case ("plot", Seq(a))       => Eda.plot(df, a)
-        case ("plot", Seq(a, b))    => Eda.plot(df, a, b)
-        case ("plot_correlation", Seq())     => Eda.plotCorrelation(df)
-        case ("plot_correlation", Seq(a))    => Eda.plotCorrelation(df, a)
-        case ("plot_correlation", Seq(a, b)) => Eda.plotCorrelation(df, a, b)
-        case ("plot_missing", Seq())     => Eda.plotMissing(df)
-        case ("plot_missing", Seq(a))    => Eda.plotMissing(df, a)
-        case ("plot_missing", Seq(a, b)) => Eda.plotMissing(df, a, b)
-        case other => throw new IllegalArgumentException(s"unsupported call: $other")
+      val (col1, col2) = (cols.lift(0).orNull, cols.lift(1).orNull)
+      val report = func match {
+        case "plot"             => Eda.plot(df, col1, col2)
+        case "plot_correlation" => Eda.plotCorrelation(df, col1, col2)
+        case "plot_missing"     => Eda.plotMissing(df, col1, col2)
+        case other => throw new IllegalArgumentException(s"unsupported function: $other")
       }
       val elapsed = (System.nanoTime() - t0) / 1e9
       println(Render.toText(report))

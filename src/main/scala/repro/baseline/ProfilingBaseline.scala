@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
 import repro.core._
-import repro.core.SparkStage.cleanNum
+import repro.core.SparkStage.{cleanNum, colRef, getDouble, getLong}
 import repro.core.Intermediates._
 
 /** The comparison baseline: a Pandas-profiling-style profiler.
@@ -27,27 +27,13 @@ import repro.core.Intermediates._
   */
 object ProfilingBaseline extends Reductions {
 
-  private def firstDouble(df: DataFrame, e: Column): Double = {
-    val r = df.agg(e).head()
-    if (r.isNullAt(0)) Double.NaN else r.get(0) match {
-      case d: Double => d
-      case n: Number => n.doubleValue
-      case o => throw new IllegalStateException(s"expected double, got $o")
-    }
-  }
-
-  private def firstLong(df: DataFrame, e: Column): Long = {
-    val r = df.agg(e).head()
-    if (r.isNullAt(0)) 0L else r.get(0) match {
-      case l: Long => l
-      case n: Number => n.longValue
-      case o => throw new IllegalStateException(s"expected long, got $o")
-    }
-  }
+  /** One statistic, one Spark action. */
+  private def firstDouble(df: DataFrame, e: Column): Double = getDouble(df.agg(e).head(), 0)
+  private def firstLong(df: DataFrame, e: Column): Long = getLong(df.agg(e).head(), 0)
 
   /** One eager action per statistic — the defining inefficiency. */
   def numericStats(df: DataFrame, c: String): NumericStats = {
-    val raw = col(c).cast(DoubleType)
+    val raw = colRef(c).cast(DoubleType)
     val x = cleanNum(c)
     val count = firstLong(df, org.apache.spark.sql.functions.count(x))
     val missing = firstLong(df, org.apache.spark.sql.functions.count(when(raw.isNull || isnan(raw), 1)))
@@ -62,7 +48,7 @@ object ProfilingBaseline extends Reductions {
     val sm = firstDouble(df, sum(x))
     val zeros = firstLong(df, org.apache.spark.sql.functions.count(when(x === 0.0, 1)))
     val negatives = firstLong(df, org.apache.spark.sql.functions.count(when(x < 0.0, 1)))
-    val pRow = df.agg(percentile_approx(x, lit(SparkStage.PercentileProbs), lit(10000))).head()
+    val pRow = df.agg(SparkStage.quantiles(x, SparkStage.PercentileProbs)).head()
     val percentiles =
       if (pRow.isNullAt(0)) Array.empty[Double] else pRow.getSeq[Double](0).toArray
     NumericStats(c, count, missing, distinct, mean, std, mn, mx, skew, kurt,
@@ -70,7 +56,7 @@ object ProfilingBaseline extends Reductions {
   }
 
   def categoricalStats(df: DataFrame, c: String): CategoricalStats = {
-    val s = col(c).cast(StringType)
+    val s = colRef(c).cast(StringType)
     CategoricalStats(c,
       count = firstLong(df, org.apache.spark.sql.functions.count(s)),
       missing = firstLong(df, org.apache.spark.sql.functions.count(when(s.isNull, 1))),
@@ -84,7 +70,7 @@ object ProfilingBaseline extends Reductions {
                        withDuplicates: Boolean): SparkStage.TableAggregates = {
     val rows = df.count()
     val dups = if (!withDuplicates) 0L else rows - firstLong(df,
-      count_distinct(struct(df.columns.toSeq.map(c => col(c).cast(StringType)): _*)))
+      count_distinct(struct(df.columns.toSeq.map(c => colRef(c).cast(StringType)): _*)))
     SparkStage.TableAggregates(rows, dups, numCols.map(c => c -> numericStats(df, c)).toMap,
       catCols.map(c => c -> categoricalStats(df, c)).toMap)
   }
@@ -105,8 +91,8 @@ object ProfilingBaseline extends Reductions {
 
   /** One frequency job per column. */
   def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =
-    cols.map(c => c -> df.where(col(c).isNotNull)
-      .groupBy(col(c).cast(StringType).as("v")).count()
+    cols.map(c => c -> df.where(colRef(c).isNotNull)
+      .groupBy(colRef(c).cast(StringType).as("v")).count()
       .orderBy(col("count").desc, col("v"))
       .limit(maxDistinct)
       .collect()
@@ -149,9 +135,4 @@ object ProfilingBaseline extends Reductions {
   /** The eager profile report: the same intermediates as the fused path. */
   def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): Eda.ReportIntermediates =
     Eda.computeReportIntermediates(df, cfg, this)
-
-  def createReport(df: DataFrame, config: Map[String, Any] = Map.empty): ReportModel.Report = {
-    val cfg = EdaConfig.from(config)
-    Render.fullReport(computeReportIntermediates(df, cfg), cfg)
-  }
 }

@@ -40,10 +40,7 @@ object Bivariate {
     val aggs = SparkStage.columnAggregates(df, Seq(x, y), Nil, withDuplicates = false)
     val xs = aggs.numeric(x); val ys = aggs.numeric(y)
 
-    val moments = SparkStage.pairwiseMoments(df, Seq((x, y)))((x, y))
-    val (slope, intercept) = moments.regression
-    val points = SparkStage.scatterSample(df, x, y, cfg.int("scatter.sample"))
-    val scatter = ScatterPlot(x, y, points, slope, intercept, moments.pearson)
+    val (moments, scatter) = Correlation.scatterWithRegression(df, x, y, cfg)
 
     val grid = SparkStage.grid2d(df, x, y, xs.min, xs.max, ys.min, ys.max,
       cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins"))
@@ -55,14 +52,8 @@ object Bivariate {
     }
     val binnedBox = BinnedBoxPlot(x, y, edges, boxes)
 
-    val insights =
-      if (!moments.pearson.isNaN &&
-          math.abs(moments.pearson) > cfg.double("insight.correlation.threshold"))
-        Seq(Insight("high-correlation", Seq(x, y),
-          f"$x and $y are highly correlated (pearson = ${moments.pearson}%.3f)",
-          moments.pearson))
-      else Nil
-    NumNumBivariate(xs, ys, scatter, grid, binnedBox, insights)
+    NumNumBivariate(xs, ys, scatter, grid, binnedBox,
+      Insights.highCorrelation(x, y, "pearson", moments.pearson, cfg).toSeq)
   }
 
   def catNum(df: DataFrame, cat: String, num: String, cfg: EdaConfig): CatNumBivariate = {

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.core.Intermediates._
+import repro.stats.LocalStats.PairMoments
 
 /** Correlation task — plot_correlation(df[, col1[, col2]]) (Figure 2).
   *
@@ -72,14 +73,9 @@ object Correlation {
         others.map(o => if (aggs.numeric(column).hasVariance && aggs.numeric(o).hasVariance)
           coefficients(m)((column, o)) else Double.NaN).toArray)
     }
-    val t = cfg.double("insight.correlation.threshold")
-    val insights = vectors.flatMap { v =>
-      v.others.zip(v.values).collect {
-        case (o, r) if !r.isNaN && math.abs(r) > t =>
-          Insight("high-correlation", Seq(column, o),
-            f"$column and $o are highly correlated (${v.method} = $r%.3f)", r)
-      }
-    }
+    val insights = vectors.flatMap(v => v.others.zip(v.values).flatMap { case (o, r) =>
+      Insights.highCorrelation(column, o, v.method, r, cfg)
+    })
     CorrelationVectorIntermediates(column, others, vectors, insights)
   }
 
@@ -87,10 +83,7 @@ object Correlation {
     require(TypeDetector.typeOf(df, c1) == ColumnType.Numerical &&
             TypeDetector.typeOf(df, c2) == ColumnType.Numerical,
       s"plot_correlation(df, col1, col2): both columns must be numerical")
-    val moments = SparkStage.pairwiseMoments(df, Seq((c1, c2)))((c1, c2))
-    val (slope, intercept) = moments.regression
-    val points = SparkStage.scatterSample(df, c1, c2, cfg.int("scatter.sample"))
-    val scatter = ScatterPlot(c1, c2, points, slope, intercept, moments.pearson)
+    val (moments, scatter) = scatterWithRegression(df, c1, c2, cfg)
 
     // spearman/kendall locally on the collected (sampled) pair; pearson is
     // the exact one from the moments, which also give the regression line
@@ -99,12 +92,20 @@ object Correlation {
     val local = LocalStage.coefficients(Seq(c1, c2), sample, cfg.strings("corr.methods"),
       Seq((0, 1))).map { case (m, v) => m -> v((c1, c2)) }
     val coefficients = if (local.contains("pearson")) local.updated("pearson", moments.pearson) else local
-    val t = cfg.double("insight.correlation.threshold")
-    val insights = coefficients.toSeq.collect {
-      case (m, v) if !v.isNaN && math.abs(v) > t =>
-        Insight("high-correlation", Seq(c1, c2),
-          f"$c1 and $c2 are highly correlated ($m = $v%.3f)", v)
+    val insights = coefficients.toSeq.flatMap { case (m, r) =>
+      Insights.highCorrelation(c1, c2, m, r, cfg)
     }
     CorrelationPairIntermediates(scatter, coefficients, insights)
+  }
+
+  /** The exact moments of (x, y) over pairwise-complete rows and the scatter
+    * plot of y against x with the regression line they give: two actions.
+    */
+  private[core] def scatterWithRegression(df: DataFrame, x: String, y: String,
+                                          cfg: EdaConfig): (PairMoments, ScatterPlot) = {
+    val moments = SparkStage.pairwiseMoments(df, Seq((x, y)))((x, y))
+    val (slope, intercept) = moments.regression
+    val points = SparkStage.scatterSample(df, x, y, cfg.int("scatter.sample"))
+    (moments, ScatterPlot(x, y, points, slope, intercept, moments.pearson))
   }
 }

@@ -5,6 +5,8 @@ import repro.core.Intermediates._
 import repro.core.ReportModel.Report
 
 /** DataPrep.EDA's task-centric API (Section 3.2), ported to Scala/Spark:
+  * one function per task family, dispatching on the columns it is given
+  * (Figure 2) —
   *
   * - `plot(df)` — "I want an overview of the dataset"
   * - `plot(df, col1)` — "I want to understand col1"
@@ -13,8 +15,9 @@ import repro.core.ReportModel.Report
   * - `plotMissing(df[, col1[, col2]])` — missing-value analysis
   * - `createReport(df)` — the full profile report (Table 2's workload)
   *
-  * Every call takes an optional config map of dotted keys (e.g.
-  * `Map("hist.bins" -> 200)`), exactly the customization flow of Figure 1.
+  * Every call takes an optional `config` map of dotted keys (e.g.
+  * `config = Map("hist.bins" -> 200)`), exactly the customization flow of
+  * Figure 1. An absent column is `null`, like the paper's `None`.
   */
 object Eda {
 
@@ -26,71 +29,43 @@ object Eda {
     EdaConfig.from(config)
   }
 
-  // ---- plot --------------------------------------------------------------
-
-  def plot(df: DataFrame): Report = plot(df, Map.empty[String, Any])
-  def plot(df: DataFrame, config: Map[String, Any]): Report = {
-    val cfg = cfgOf(df, config)
-    Render.overviewReport(Overview.compute(df, cfg), cfg)
+  /** The columns a call names, in order: none, col1, or col1 and col2. */
+  private def columnsOf(task: String, col1: String, col2: String): Seq[String] = {
+    require(col1 != null || col2 == null, s"$task: col2 '$col2' given without col1")
+    Seq(col1, col2).takeWhile(_ != null)
   }
 
-  def plot(df: DataFrame, col1: String): Report = plot(df, col1, Map.empty[String, Any])
-  def plot(df: DataFrame, col1: String, config: Map[String, Any]): Report = {
+  def plot(df: DataFrame, col1: String = null, col2: String = null,
+           config: Map[String, Any] = Map.empty): Report = {
+    val cols = columnsOf("plot", col1, col2)
     val cfg = cfgOf(df, config)
-    Render.univariateReport(Univariate.compute(df, col1, cfg), cfg)
+    cols match {
+      case Seq()     => Render.overviewReport(Overview.compute(df, cfg), cfg)
+      case Seq(a)    => Render.univariateReport(Univariate.compute(df, a, cfg), cfg)
+      case Seq(a, b) => Render.bivariateReport(Bivariate.compute(df, a, b, cfg), cfg)
+    }
   }
 
-  def plot(df: DataFrame, col1: String, col2: String): Report =
-    plot(df, col1, col2, Map.empty[String, Any])
-  def plot(df: DataFrame, col1: String, col2: String, config: Map[String, Any]): Report = {
+  def plotCorrelation(df: DataFrame, col1: String = null, col2: String = null,
+                      config: Map[String, Any] = Map.empty): Report = {
+    val cols = columnsOf("plot_correlation", col1, col2)
     val cfg = cfgOf(df, config)
-    Render.bivariateReport(Bivariate.compute(df, col1, col2, cfg), cfg)
+    cols match {
+      case Seq()     => Render.correlationReport(Correlation.matrix(df, cfg), cfg)
+      case Seq(a)    => Render.correlationVectorReport(Correlation.vector(df, a, cfg), cfg)
+      case Seq(a, b) => Render.correlationPairReport(Correlation.pair(df, a, b, cfg), cfg)
+    }
   }
 
-  // ---- plot_correlation ---------------------------------------------------
-
-  def plotCorrelation(df: DataFrame): Report = plotCorrelation(df, Map.empty[String, Any])
-  def plotCorrelation(df: DataFrame, config: Map[String, Any]): Report = {
+  def plotMissing(df: DataFrame, col1: String = null, col2: String = null,
+                  config: Map[String, Any] = Map.empty): Report = {
+    val cols = columnsOf("plot_missing", col1, col2)
     val cfg = cfgOf(df, config)
-    Render.correlationReport(Correlation.matrix(df, cfg), cfg)
-  }
-
-  def plotCorrelation(df: DataFrame, col1: String): Report =
-    plotCorrelation(df, col1, Map.empty[String, Any])
-  def plotCorrelation(df: DataFrame, col1: String, config: Map[String, Any]): Report = {
-    val cfg = cfgOf(df, config)
-    Render.correlationVectorReport(Correlation.vector(df, col1, cfg), cfg)
-  }
-
-  def plotCorrelation(df: DataFrame, col1: String, col2: String): Report =
-    plotCorrelation(df, col1, col2, Map.empty[String, Any])
-  def plotCorrelation(df: DataFrame, col1: String, col2: String,
-                      config: Map[String, Any]): Report = {
-    val cfg = cfgOf(df, config)
-    Render.correlationPairReport(Correlation.pair(df, col1, col2, cfg), cfg)
-  }
-
-  // ---- plot_missing ---------------------------------------------------------
-
-  def plotMissing(df: DataFrame): Report = plotMissing(df, Map.empty[String, Any])
-  def plotMissing(df: DataFrame, config: Map[String, Any]): Report = {
-    val cfg = cfgOf(df, config)
-    Render.missingReport(Missing.overview(df, cfg), cfg)
-  }
-
-  def plotMissing(df: DataFrame, col1: String): Report =
-    plotMissing(df, col1, Map.empty[String, Any])
-  def plotMissing(df: DataFrame, col1: String, config: Map[String, Any]): Report = {
-    val cfg = cfgOf(df, config)
-    Render.missingImpactReport(Missing.impact(df, col1, cfg), cfg)
-  }
-
-  def plotMissing(df: DataFrame, col1: String, col2: String): Report =
-    plotMissing(df, col1, col2, Map.empty[String, Any])
-  def plotMissing(df: DataFrame, col1: String, col2: String,
-                  config: Map[String, Any]): Report = {
-    val cfg = cfgOf(df, config)
-    Render.missingPairReport(Missing.pair(df, col1, col2, cfg), cfg)
+    cols match {
+      case Seq()     => Render.missingReport(Missing.overview(df, cfg), cfg)
+      case Seq(a)    => Render.missingImpactReport(Missing.impact(df, a, cfg), cfg)
+      case Seq(a, b) => Render.missingPairReport(Missing.pair(df, a, b, cfg), cfg)
+    }
   }
 
   // ---- create_report ---------------------------------------------------------
@@ -163,8 +138,7 @@ object Eda {
     ReportIntermediates(overview, variables, interactions, correlations, missing)
   }
 
-  def createReport(df: DataFrame): Report = createReport(df, Map.empty[String, Any])
-  def createReport(df: DataFrame, config: Map[String, Any]): Report = {
+  def createReport(df: DataFrame, config: Map[String, Any] = Map.empty): Report = {
     val cfg = cfgOf(df, config)
     Render.fullReport(computeReportIntermediates(df, cfg), cfg)
   }

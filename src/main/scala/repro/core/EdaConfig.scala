@@ -73,7 +73,8 @@ object EdaConfig {
 
   /** Build a config from user overrides; unknown keys raise immediately so a
     * typo ("hist.bin") cannot silently fall back to the default. Non-positive
-    * counts and unknown correlation methods are rejected here, before any task.
+    * counts and `corr.maxrows`, a negative `scatter.sample` and unknown
+    * correlation methods are rejected here, before any task.
     */
   def from(overrides: Map[String, Any] = Map.empty): EdaConfig = {
     val unknown = overrides.keySet.diff(defaults.keySet)
@@ -83,15 +84,20 @@ object EdaConfig {
     val cfg = EdaConfig(defaults ++ overrides)
     countKeys.foreach(k =>
       require(cfg.int(k) > 0, s"config $k: expected a positive count, got ${cfg.entries(k)}"))
+    require(cfg.long("corr.maxrows") > 0,
+      s"config corr.maxrows: expected a positive row count, got ${cfg.entries("corr.maxrows")}")
+    require(cfg.int("scatter.sample") >= 0,
+      s"config scatter.sample: expected a non-negative count, got ${cfg.entries("scatter.sample")}")
     val badMethods = cfg.strings("corr.methods").filterNot(CorrelationMethods.contains)
     require(badMethods.isEmpty, s"config corr.methods: unknown method(s) " +
       s"${badMethods.mkString(", ")}; known: ${CorrelationMethods.mkString(", ")}")
     cfg
   }
 
-  /** Keys that size an array or divide a range, so must be positive. */
+  /** Keys that size an array, divide a range or cap a table, so must be positive. */
   private val countKeys: Seq[String] =
-    Seq("spectrum.bins", "hist.bins", "grid2d.xbins", "grid2d.ybins", "box.bins") ++
+    Seq("spectrum.bins", "hist.bins", "grid2d.xbins", "grid2d.ybins", "box.bins",
+      "freq.maxdistinct") ++
       registry.keys.filter(_.endsWith(".topk")).toSeq.sorted
 
   val default: EdaConfig = EdaConfig(defaults)

@@ -95,23 +95,33 @@ object Insights {
     out.toSeq
   }
 
-  /** |correlation| above threshold — feature-selection insight. */
-  def highCorrelations(matrix: CorrelationMatrix, cfg: EdaConfig): Seq[Insight] = {
-    val t = cfg.double("insight.correlation.threshold")
-    matrix.pairs.collect {
-      case (a, b, v) if !v.isNaN && math.abs(v) > t =>
-        Insight("high-correlation", Seq(a, b),
-          f"$a and $b are highly correlated (${matrix.method} = $v%.3f)", v)
-    }
-  }
+  /** |r| above the correlation threshold; NaN never is. */
+  private def correlated(r: Double, cfg: EdaConfig): Boolean =
+    !r.isNaN && math.abs(r) > cfg.double("insight.correlation.threshold")
+
+  /** Columns a and b correlate above threshold under `method` — feature-selection insight. */
+  def highCorrelation(a: String, b: String, method: String, r: Double,
+                      cfg: EdaConfig): Option[Insight] =
+    Option.when(correlated(r, cfg))(Insight("high-correlation", Seq(a, b),
+      f"$a and $b are highly correlated ($method = $r%.3f)", r))
+
+  def highCorrelations(matrix: CorrelationMatrix, cfg: EdaConfig): Seq[Insight] =
+    matrix.pairs.flatMap { case (a, b, r) => highCorrelation(a, b, matrix.method, r, cfg) }
 
   /** Correlated missingness from the nullity correlation matrix. */
-  def correlatedMissingness(matrix: CorrelationMatrix, cfg: EdaConfig): Seq[Insight] = {
-    val t = cfg.double("insight.correlation.threshold")
-    matrix.pairs.collect {
-      case (a, b, v) if !v.isNaN && math.abs(v) > t =>
-        Insight("correlated-missingness", Seq(a, b),
-          f"missing values of $a and $b are correlated (r = $v%.3f)", v)
+  def correlatedMissingness(matrix: CorrelationMatrix, cfg: EdaConfig): Seq[Insight] =
+    matrix.pairs.collect { case (a, b, r) if correlated(r, cfg) =>
+      Insight("correlated-missingness", Seq(a, b),
+        f"missing values of $a and $b are correlated (r = $r%.3f)", r)
     }
+
+  /** Dropping the rows where `col1` is missing moves the distribution of
+    * `h.column` by more than the similarity threshold (normalized L1).
+    */
+  def missingImpact(col1: String, h: ImpactHistogram, cfg: EdaConfig): Option[Insight] = {
+    val d = LocalStats.l1Distance(h.before.toSeq, h.after.toSeq)
+    Option.when(d > cfg.double("insight.similarity.threshold"))(Insight("missing-impact",
+      Seq(col1, h.column),
+      f"dropping missing rows of $col1 changes the distribution of ${h.column} (L1 = $d%.3f)", d))
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core.Intermediates._
 import repro.stats.Dendrogram
@@ -109,28 +109,24 @@ object Missing {
     val freqs = catCols.map(c =>
       c -> ImpactFrequencies(c, freqsRaw.getOrElse(c, Nil).take(topK))).toMap
 
-    // rows kept = rows where col1 present; derivable from a numeric/cat agg
-    // of col1 would need col1 in pass 1 — use a dedicated tiny agg instead.
-    val row = df.agg(count(lit(1)), count(when(keep, 1))).head()
-    val (rowsTotal, rowsKept) = (row.getLong(0), row.getLong(1))
-
-    val simT = cfg.double("insight.similarity.threshold")
-    val insights = hists.values.toSeq.sortBy(_.column).flatMap { h =>
-      val d = repro.stats.LocalStats.l1Distance(h.before.toSeq, h.after.toSeq)
-      if (d > simT)
-        Some(Insight("missing-impact", Seq(col1, h.column),
-          f"dropping missing rows of $col1 changes the distribution of ${h.column} (L1 = $d%.3f)", d))
-      else None
-    }
+    val (rowsTotal, rowsKept) = rowCounts(df, keep)
+    val insights = hists.values.toSeq.sortBy(_.column).flatMap(Insights.missingImpact(col1, _, cfg))
     MissingImpactIntermediates(col1, rowsTotal, rowsKept, hists, freqs, insights)
+  }
+
+  /** All rows and the rows where `keep` holds, one action: pass 1 does not
+    * cover col1, so the rows kept need their own tiny agg.
+    */
+  private def rowCounts(df: DataFrame, keep: Column): (Long, Long) = {
+    val row = df.agg(count(lit(1)), count(when(keep, 1))).head()
+    (row.getLong(0), row.getLong(1))
   }
 
   /** plot_missing(df, col1, col2). */
   def pair(df: DataFrame, col1: String, col2: String, cfg: EdaConfig): MissingPairIntermediates = {
     require(df.columns.contains(col1), s"column '$col1' not found")
     val keep = !SparkStage.isMissing(df, col1)
-    val row = df.agg(count(lit(1)), count(when(keep, 1))).head()
-    val (rowsTotal, rowsKept) = (row.getLong(0), row.getLong(1))
+    val (rowsTotal, rowsKept) = rowCounts(df, keep)
 
     TypeDetector.typeOf(df, col2) match {
       case ColumnType.Numerical =>
@@ -143,25 +139,15 @@ object Missing {
 
         // five-number summaries before/after in one action
         val yc = SparkStage.cleanNum(col2)
-        val probs = lit(Array(0.0, 0.25, 0.5, 0.75, 1.0))
-        val qRow = df.agg(
-          percentile_approx(yc, probs, lit(10000)),
-          percentile_approx(when(keep, yc), probs, lit(10000))).head()
+        val qRow = df.agg(SparkStage.fiveNumbers(yc), SparkStage.fiveNumbers(when(keep, yc))).head()
         def qs(i: Int): Option[Array[Double]] =
           if (qRow.isNullAt(i)) None else Some(qRow.getSeq[Double](i).toArray)
         val boxes = for (b <- qs(0); a <- qs(1)) yield ImpactBoxPlot(col2,
           LocalStage.boxFromFiveNumbers(s"$col2 (all rows)", b),
           LocalStage.boxFromFiveNumbers(s"$col2 ($col1 present)", a))
 
-        val insights = hist.toSeq.flatMap { h =>
-          val d = repro.stats.LocalStats.l1Distance(h.before.toSeq, h.after.toSeq)
-          if (d > cfg.double("insight.similarity.threshold"))
-            Some(Insight("missing-impact", Seq(col1, col2),
-              f"dropping missing rows of $col1 changes the distribution of $col2 (L1 = $d%.3f)", d))
-          else None
-        }
-        MissingPairIntermediates(col1, col2, rowsTotal, rowsKept,
-          hist, pdfB, pdfA, cdfB, cdfA, boxes, None, insights)
+        MissingPairIntermediates(col1, col2, rowsTotal, rowsKept, hist, pdfB, pdfA, cdfB, cdfA,
+          boxes, None, hist.toSeq.flatMap(Insights.missingImpact(col1, _, cfg)))
 
       case ColumnType.Categorical =>
         val freq = SparkStage.impactFrequencies(df, Seq(col2),

@@ -31,11 +31,18 @@ object SparkStage extends Reductions {
 
   private val PercentileAccuracy = 10000
 
+  /** Approximate quantiles of `x` at `probs`, at one accuracy everywhere. */
+  private[repro] def quantiles(x: Column, probs: Array[Double]): Column =
+    percentile_approx(x, lit(probs), lit(PercentileAccuracy))
+
+  /** Approximate [min, q1, median, q3, max] of `x` (box plots). */
+  private[repro] def fiveNumbers(x: Column): Column = quantiles(x, Array(0.0, 0.25, 0.5, 0.75, 1.0))
+
   /** Numeric column normalized to Double with NaN/±Inf mapped to null, so
     * every moment/histogram/rank sees only finite values.
     */
   private[repro] def cleanNum(c: String): Column = {
-    val x = col(c).cast(DoubleType)
+    val x = colRef(c).cast(DoubleType)
     when(isnan(x) || x === Double.PositiveInfinity || x === Double.NegativeInfinity,
       lit(null).cast(DoubleType)).otherwise(x)
   }
@@ -57,13 +64,13 @@ object SparkStage extends Reductions {
                                    numeric: Map[String, NumericStats],
                                    categorical: Map[String, CategoricalStats])
 
-  private def getLong(r: Row, i: Int): Long = if (r.isNullAt(i)) 0L else r.get(i) match {
+  private[repro] def getLong(r: Row, i: Int): Long = if (r.isNullAt(i)) 0L else r.get(i) match {
     case l: Long => l
     case n: Number => n.longValue
     case other => throw new IllegalStateException(s"expected long at $i, got $other")
   }
 
-  private def getDouble(r: Row, i: Int): Double = if (r.isNullAt(i)) Double.NaN else r.get(i) match {
+  private[repro] def getDouble(r: Row, i: Int): Double = if (r.isNullAt(i)) Double.NaN else r.get(i) match {
     case d: Double => d
     case n: Number => n.doubleValue
     case other => throw new IllegalStateException(s"expected double at $i, got $other")
@@ -88,7 +95,7 @@ object SparkStage extends Reductions {
 
     val numeric: Map[String, NumericStats] = if (numCols.isEmpty) Map.empty else {
       val structs = numCols.map { c =>
-        struct(col(c).cast(DoubleType).as("raw"), cleanNum(c).as("v"))
+        struct(colRef(c).cast(DoubleType).as("raw"), cleanNum(c).as("v"))
       }
       val raw = col("s.raw"); val v = col("s.v")
       val exploded = df.select(posexplode(array(structs: _*)).as(Seq("pos", "s")))
@@ -101,7 +108,7 @@ object SparkStage extends Reductions {
           avg(v), stddev_samp(v), min(v), max(v), skewness(v), kurtosis(v), sum(v),
           count(when(v === 0.0, 1)),
           count(when(v < 0.0, 1)),
-          percentile_approx(v, lit(PercentileProbs), lit(PercentileAccuracy)),
+          quantiles(v, PercentileProbs),
         )
         .collect()
       // distinct counts separately: a distinct aggregate next to the
@@ -131,7 +138,7 @@ object SparkStage extends Reductions {
     }
 
     val categorical: Map[String, CategoricalStats] = if (catCols.isEmpty) Map.empty else {
-      val arr = array(catCols.map(c => col(c).cast(StringType)): _*)
+      val arr = array(catCols.map(c => colRef(c).cast(StringType)): _*)
       val v = col("value")
       val out = df.select(posexplode(arr).as(Seq("pos", "value")))
         .groupBy(col("pos"))
@@ -152,7 +159,7 @@ object SparkStage extends Reductions {
       if (withDuplicates && df.columns.nonEmpty && rows > 0) {
         val allCols = df.columns.toSeq
         rows - getLong(df.agg(
-          count_distinct(struct(allCols.map(c => col(c).cast(StringType)): _*))).head(), 0)
+          count_distinct(struct(allCols.map(c => colRef(c).cast(StringType)): _*))).head(), 0)
       } else 0L
 
     TableAggregates(rows, dups, numeric, categorical)
@@ -245,7 +252,7 @@ object SparkStage extends Reductions {
   def frequencies(df: DataFrame, cols: Seq[String],
                   maxDistinct: Int): Map[String, Seq[(String, Long)]] = {
     if (cols.isEmpty) return Map.empty
-    val arr = array(cols.map(c => col(c).cast(StringType)): _*)
+    val arr = array(cols.map(c => colRef(c).cast(StringType)): _*)
     val counted = df.select(posexplode(arr).as(Seq("pos", "value")))
       .where(col("value").isNotNull)
       .groupBy(col("pos"), col("value"))
@@ -267,7 +274,7 @@ object SparkStage extends Reductions {
   def impactFrequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int,
                         keep: Column): Map[String, Seq[(String, Long, Long)]] = {
     if (cols.isEmpty) return Map.empty
-    val arr = array(cols.map(c => col(c).cast(StringType)): _*)
+    val arr = array(cols.map(c => colRef(c).cast(StringType)): _*)
     val rows = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
       .where(col("value").isNotNull)
       .groupBy(col("pos"), col("value"), col("keep"))
@@ -289,7 +296,7 @@ object SparkStage extends Reductions {
   /** Word frequencies of one text column (univariate categorical task). */
   def wordFrequencies(df: DataFrame, c: String, topK: Int): WordFrequencies = {
     val words = df
-      .select(explode(split(lower(col(c).cast(StringType)), "[^a-z0-9]+")).as("word"))
+      .select(explode(split(lower(colRef(c).cast(StringType)), "[^a-z0-9]+")).as("word"))
       .where(length(col("word")) > 0)
       .groupBy("word").count()
     // single action: total + topK via sorted collect of capped rows
@@ -479,9 +486,7 @@ object SparkStage extends Reductions {
     val xc = cleanNum(x); val yc = cleanNum(y)
     val rows = df.where(xc.isNotNull && yc.isNotNull)
       .groupBy(binOf(xc, lit(xMin), lit(w), bins).as("xb"))
-      .agg(percentile_approx(yc, lit(Array(0.0, 0.25, 0.5, 0.75, 1.0)),
-             lit(PercentileAccuracy)).as("qs"),
-           count(lit(1)).as("cnt"))
+      .agg(fiveNumbers(yc).as("qs"), count(lit(1)).as("cnt"))
       .collect()
     val out = rows.map { r =>
       (r.getInt(0), r.getSeq[Double](1).toArray, r.getLong(2))
@@ -495,11 +500,9 @@ object SparkStage extends Reductions {
   def groupedNumericStats(df: DataFrame, cat: String, num: String,
                           maxGroups: Int): Seq[(String, Long, Double, Array[Double])] = {
     val yc = cleanNum(num)
-    val g = df.where(col(cat).isNotNull && yc.isNotNull)
-      .groupBy(col(cat).cast(StringType).as("g"))
-      .agg(count(lit(1)).as("cnt"), avg(yc).as("mean"),
-           percentile_approx(yc, lit(Array(0.0, 0.25, 0.5, 0.75, 1.0)),
-             lit(PercentileAccuracy)).as("qs"))
+    val g = df.where(colRef(cat).isNotNull && yc.isNotNull)
+      .groupBy(colRef(cat).cast(StringType).as("g"))
+      .agg(count(lit(1)).as("cnt"), avg(yc).as("mean"), fiveNumbers(yc).as("qs"))
       .orderBy(col("cnt").desc, col("g"))
       .limit(maxGroups)
     g.collect().map(r =>
@@ -516,7 +519,7 @@ object SparkStage extends Reductions {
     val w = widthOf(min, max, bins)
     if (categories.isEmpty) return (edgesOf(min, w, bins), Map.empty)
     val yc = cleanNum(num)
-    val catStr = col(cat).cast(StringType)
+    val catStr = colRef(cat).cast(StringType)
     val byCat = df.where(catStr.isin(categories: _*) && yc.isNotNull)
       .groupBy(catStr.as("g"), binOf(yc, lit(min), lit(w), bins).as("bin")).count().collect()
       .toSeq.groupMap(_.getString(0))(r => (r.getInt(1), r.getLong(2)))
@@ -528,8 +531,8 @@ object SparkStage extends Reductions {
     */
   def contingency(df: DataFrame, c1: String, c2: String,
                   maxCells: Int = 100000): Seq[(String, String, Long)] = {
-    df.where(col(c1).isNotNull && col(c2).isNotNull)
-      .groupBy(col(c1).cast(StringType).as("a"), col(c2).cast(StringType).as("b"))
+    df.where(colRef(c1).isNotNull && colRef(c2).isNotNull)
+      .groupBy(colRef(c1).cast(StringType).as("a"), colRef(c2).cast(StringType).as("b"))
       .count()
       .orderBy(col("count").desc, col("a"), col("b"))
       .limit(maxCells)

@@ -65,6 +65,23 @@ class EdaConfigSpec extends AnyFunSuite {
       assert(e.getMessage.contains(k), e.getMessage)
     }
   }
+  test("a non-positive corr.maxrows is rejected, naming the key") {
+    for (v <- Seq(0L, -5L)) {
+      val e = intercept[IllegalArgumentException](EdaConfig.from(Map("corr.maxrows" -> v)))
+      assert(e.getMessage.contains("corr.maxrows"), e.getMessage)
+    }
+  }
+  test("a negative scatter.sample is rejected, naming the key; zero is allowed") {
+    val e = intercept[IllegalArgumentException](EdaConfig.from(Map("scatter.sample" -> -1)))
+    assert(e.getMessage.contains("scatter.sample"), e.getMessage)
+    assert(EdaConfig.from(Map("scatter.sample" -> 0)).int("scatter.sample") == 0)
+  }
+  test("a non-positive freq.maxdistinct is rejected, naming the key") {
+    for (v <- Seq(0, -2)) {
+      val e = intercept[IllegalArgumentException](EdaConfig.from(Map("freq.maxdistinct" -> v)))
+      assert(e.getMessage.contains("freq.maxdistinct"), e.getMessage)
+    }
+  }
   test("unknown correlation methods are rejected, naming the key and the value") {
     val e = intercept[IllegalArgumentException](
       EdaConfig.from(Map("corr.methods" -> Seq("pearson", "spearmann"))))

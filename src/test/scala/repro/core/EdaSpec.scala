@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
+
 import repro.{SparkSpec, TestHelpers}
 import repro.data.EdaData
 
@@ -39,7 +42,7 @@ class EdaSpec extends SparkSpec with TestHelpers {
   }
 
   test("config map customizes a call (Figure 1 flow)") {
-    val r = Eda.plot(df, "num_1", Map("hist.bins" -> 20))
+    val r = Eda.plot(df, "num_1", config = Map("hist.bins" -> 20))
     val hist = r.tab("Histogram").components.collectFirst {
       case c: ReportModel.ChartComponent => c
     }.get
@@ -47,7 +50,34 @@ class EdaSpec extends SparkSpec with TestHelpers {
   }
 
   test("unknown config key fails fast") {
-    intercept[IllegalArgumentException](Eda.plot(df, Map("no.such.key" -> 1)))
+    intercept[IllegalArgumentException](Eda.plot(df, config = Map("no.such.key" -> 1)))
+  }
+
+  test("col2 without col1 is rejected by every function") {
+    intercept[IllegalArgumentException](Eda.plot(df, null, "num_1"))
+    intercept[IllegalArgumentException](Eda.plotCorrelation(df, null, "num_1"))
+    intercept[IllegalArgumentException](Eda.plotMissing(df, null, "num_1"))
+  }
+
+  test("every signature works on column names with a dot, a space, a backtick or non-ASCII") {
+    val schema = StructType(Seq(StructField("a.b", DoubleType), StructField("c d", DoubleType),
+      StructField("e`f", StringType), StructField("ü", StringType)))
+    val rows = (0 until 60).map(i => Row(
+      if (i % 7 == 0) null else i.toDouble, (i * i % 11).toDouble,
+      if (i % 5 == 0) null else s"v${i % 4}", s"w ${i % 3}"))
+    val odd = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+    val (n1, n2, c1, c2) = ("a.b", "c d", "e`f", "ü")
+    val reports = Seq(Eda.plot(odd), Eda.plot(odd, n1), Eda.plot(odd, c1),
+      Eda.plot(odd, n1, n2), Eda.plot(odd, c1, n2), Eda.plot(odd, c1, c2),
+      Eda.plotCorrelation(odd), Eda.plotCorrelation(odd, n1), Eda.plotCorrelation(odd, n1, n2),
+      Eda.plotMissing(odd), Eda.plotMissing(odd, n1), Eda.plotMissing(odd, n1, n2),
+      Eda.plotMissing(odd, c1, c2), Eda.createReport(odd))
+    assert(reports.forall(_.tabs.nonEmpty))
+    val fast = Eda.computeReportIntermediates(odd, EdaConfig.default)
+    val eager = repro.baseline.ProfilingBaseline.computeReportIntermediates(odd, EdaConfig.default)
+    assert(fast.overview.dataset == eager.overview.dataset)
+    assert(fast.overview.dataset.missingCells == 9 + 12)
+    assert(fast.missing.bar.missingCounts == Seq(9L, 0L, 12L, 0L))
   }
 
   test("createReport: has Overview, Variables, Interactions, Correlations, Missing sections") {
