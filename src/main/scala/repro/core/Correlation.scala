@@ -9,27 +9,34 @@ import repro.stats.LocalStats.PairMoments
   * Matrix/vector: Pearson, Spearman, and Kendall tau over the numeric
   * columns. One reduce-to-driver collect of the numeric matrix (sampled
   * above `corr.maxrows`) feeds all three coefficient computations, which
-  * run locally and fan the column pairs across threads — the Section 5.2
-  * engine-stage/local-stage split with its heuristic boundary: the engine
-  * reduces n×m to min(n, maxrows)×m once; scheduling one distributed job
-  * per coefficient would cost more than computing them. Pairwise-complete
-  * deletion per pair, re-ranked per pair (pandas semantics); results are
-  * exact whenever n <= corr.maxrows (all Table 2 workloads).
+  * run locally — the Section 5.2 engine-stage/local-stage split with its
+  * heuristic boundary: the engine reduces n×m to min(n, maxrows)×m once;
+  * scheduling one distributed job per coefficient would cost more than
+  * computing them. Locally each column is sorted once, and every pair uses
+  * its complete rows: ranks are re-taken among them by one walk of each
+  * column's sorted order (pandas semantics, see `LocalStage.coefficients`);
+  * results are exact whenever n <= corr.maxrows (all Table 2 workloads).
   *
   * Pair: scatter plot with a regression line plus the three coefficients;
   * the regression moments come from one exact distributed agg.
   */
 object Correlation {
 
+  /** `matrixInsights(k)` are the insights of `matrices(k)`. */
   final case class CorrelationIntermediates(
       columns: Seq[String],
       matrices: Seq[CorrelationMatrix],
-      insights: Seq[Insight])
+      matrixInsights: Seq[Seq[Insight]]) {
+    def insights: Seq[Insight] = matrixInsights.flatten
+  }
 
+  /** `vectorInsights(k)` are the insights of `vectors(k)`. */
   final case class CorrelationVectorIntermediates(
       column: String, others: Seq[String],
       vectors: Seq[CorrelationVector],
-      insights: Seq[Insight])
+      vectorInsights: Seq[Seq[Insight]]) {
+    def insights: Seq[Insight] = vectorInsights.flatten
+  }
 
   final case class CorrelationPairIntermediates(
       scatter: ScatterPlot,
@@ -53,7 +60,7 @@ object Correlation {
     if (cols.size < 2) return CorrelationIntermediates(cols, Nil, Nil)
     val matrices = cfg.strings("corr.methods").map(m =>
       LocalStage.correlationMatrix(m, cols, coefficients(m), aggs.numeric(_).hasVariance))
-    CorrelationIntermediates(cols, matrices, matrices.flatMap(Insights.highCorrelations(_, cfg)))
+    CorrelationIntermediates(cols, matrices, matrices.map(Insights.highCorrelations(_, cfg)))
   }
 
   def vector(df: DataFrame, column: String, cfg: EdaConfig): CorrelationVectorIntermediates = {
@@ -73,7 +80,7 @@ object Correlation {
         others.map(o => if (aggs.numeric(column).hasVariance && aggs.numeric(o).hasVariance)
           coefficients(m)((column, o)) else Double.NaN).toArray)
     }
-    val insights = vectors.flatMap(v => v.others.zip(v.values).flatMap { case (o, r) =>
+    val insights = vectors.map(v => v.others.zip(v.values).flatMap { case (o, r) =>
       Insights.highCorrelation(column, o, v.method, r, cfg)
     })
     CorrelationVectorIntermediates(column, others, vectors, insights)

@@ -79,60 +79,65 @@ object Eda {
       missing: Missing.MissingOverviewIntermediates)
 
   /** The fused report pipeline (the DataPrep.EDA column of Table 2):
-    * O(1) Spark actions regardless of column count —
+    * O(1) Spark actions regardless of column count, in two waves of
+    * concurrent jobs —
     *
-    *  1. fused per-column aggregates over every column (precompute stage;
-    *     shared by the Overview section, every Variables section, and the
-    *     correlation variance bookkeeping),
-    *  2. one job for all histograms, one for all frequency tables, one for
-    *     all outlier counts,
-    *  3. one reduce-to-driver collect feeding local Pearson, Spearman and
-    *     Kendall,
-    *  4. for missing values, one row-count job and one `groupBy(spectrum
-    *     bucket, missing pattern)` job; bar counts, spectrum, nullity
-    *     correlation and dendrogram all come from the pattern counts,
-    *  5. `report.interactions` small 2-D grid jobs.
+    *  1. wave 1, the reductions that need nothing computed first: the fused
+    *     per-column aggregates over every column (precompute stage; shared
+    *     by the Overview section, every Variables section, and the
+    *     correlation variance bookkeeping), one job for all frequency
+    *     tables, and, for missing values, one row-count job and one
+    *     `groupBy(spectrum bucket, missing pattern)` job (bar counts,
+    *     spectrum, nullity correlation and dendrogram all come from the
+    *     pattern counts);
+    *  2. wave 2, the reductions whose plans take literals from pass 1: one
+    *     job for all histograms, one for all outlier counts, the
+    *     `report.interactions` small 2-D grid jobs, and one reduce-to-driver
+    *     collect feeding local Pearson, Spearman and Kendall, which sort
+    *     each column once (`LocalStage.coefficients`).
     */
   def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): ReportIntermediates =
     computeReportIntermediates(df, cfg, SparkStage)
 
   /** The one report assembly: every section from the reductions `r`, so
-    * the fused and the eager report differ only in how those execute.
+    * the fused and the eager report differ only in how those execute. The
+    * independent reductions of each wave run as concurrent tasks.
     */
   private[repro] def computeReportIntermediates(df: DataFrame, cfg: EdaConfig,
                                                 r: Reductions): ReportIntermediates = {
     EngineTuning.tune(df.sparkSession)
+    val concurrently = Concurrently(df.sparkSession.sparkContext)
     val numCols = TypeDetector.numericColumns(df)
     val catCols = TypeDetector.categoricalColumns(df)
+    val cols = df.columns.toSeq
 
-    // pass 1, shared by everything below
-    val aggs = r.columnAggregates(df, numCols, catCols)
+    val (aggs, freqs, (rows, missingCounts, spectrum, bothMissing)) = concurrently(
+      r.columnAggregates(df, numCols, catCols),
+      r.frequencies(df, catCols, cfg.int("freq.maxdistinct")),
+      r.missing(df, cols, cfg.int("spectrum.bins")))
+
+    // Interactions: 2-D grids for the first k numeric pairs with data
     val numStats = numCols.map(aggs.numeric)
-    val hists = r.histogramsOf(df, numStats, cfg.int("hist.bins"))
-    val freqs = r.frequencies(df, catCols, cfg.int("freq.maxdistinct"))
-    val outliers = r.outliersOf(df, numStats)
+    val withData = numStats.filter(_.count > 0)
+    val pairs = (for (i <- withData.indices; j <- i + 1 until withData.size)
+      yield (withData(i), withData(j))).take(cfg.int("report.interactions"))
+    val corrCols = numCols.take(cfg.int("corr.maxcols"))
+
+    val (hists, outliers, interactions, coefficients) = concurrently(
+      r.histogramsOf(df, numStats, cfg.int("hist.bins")),
+      r.outliersOf(df, numStats),
+      concurrently(pairs.map { case (a, b) => () =>
+        SparkStage.grid2d(df, a.name, b.name, a.min, a.max, b.min, b.max,
+          cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins"))
+      }),
+      r.correlations(df, corrCols, aggs.rows, cfg.strings("corr.methods"), cfg.long("corr.maxrows")))
 
     val overview = Overview.fromAggregates(cfg, numCols, catCols, aggs, hists, freqs)
     val variables: Seq[Univariate.UnivariateIntermediates] =
       numStats.map(Univariate.fromStats(_, cfg, hists, outliers)) ++
         catCols.map(c => Univariate.fromCatStats(aggs.categorical(c), cfg, freqs,
           WordFrequencies(c, Nil, 0L)))
-
-    // Interactions: 2-D grids for the first k numeric pairs with data
-    val withData = numStats.filter(_.count > 0)
-    val pairs = (for (i <- withData.indices; j <- i + 1 until withData.size)
-      yield (withData(i), withData(j))).take(cfg.int("report.interactions"))
-    val interactions = pairs.map { case (a, b) =>
-      SparkStage.grid2d(df, a.name, b.name, a.min, a.max, b.min, b.max,
-        cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins"))
-    }
-
-    val corrCols = numCols.take(cfg.int("corr.maxcols"))
-    val correlations = Correlation.matrixFromAggregates(corrCols, aggs, r.correlations(df,
-      corrCols, aggs.rows, cfg.strings("corr.methods"), cfg.long("corr.maxrows")), cfg)
-
-    val cols = df.columns.toSeq
-    val (rows, missingCounts, spectrum, bothMissing) = r.missing(df, cols, cfg.int("spectrum.bins"))
+    val correlations = Correlation.matrixFromAggregates(corrCols, aggs, coefficients, cfg)
     val missing = Missing.assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
 
     ReportIntermediates(overview, variables, interactions, correlations, missing)

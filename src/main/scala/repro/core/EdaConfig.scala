@@ -73,8 +73,9 @@ object EdaConfig {
 
   /** Build a config from user overrides; unknown keys raise immediately so a
     * typo ("hist.bin") cannot silently fall back to the default. Non-positive
-    * counts and `corr.maxrows`, a negative `scatter.sample` and unknown
-    * correlation methods are rejected here, before any task.
+    * counts and `corr.maxrows`, a negative `scatter.sample`, unknown
+    * correlation methods and insight thresholds outside their range are
+    * rejected here, before any task.
     */
   def from(overrides: Map[String, Any] = Map.empty): EdaConfig = {
     val unknown = overrides.keySet.diff(defaults.keySet)
@@ -91,14 +92,36 @@ object EdaConfig {
     val badMethods = cfg.strings("corr.methods").filterNot(CorrelationMethods.contains)
     require(badMethods.isEmpty, s"config corr.methods: unknown method(s) " +
       s"${badMethods.mkString(", ")}; known: ${CorrelationMethods.mkString(", ")}")
+    require(cfg.int("insight.cardinality.threshold") >= 0, s"config insight.cardinality.threshold: " +
+      s"expected a non-negative count, got ${cfg.entries("insight.cardinality.threshold")}")
+    thresholdRanges.foreach { case (k, lo, hi) =>
+      val v = cfg.double(k)
+      require(v >= lo && v <= hi, s"config $k: expected a number " +
+        (if (hi.isInfinite) s"of at least $lo" else s"in [$lo, $hi]") + s", got ${cfg.entries(k)}")
+    }
     cfg
   }
 
   /** Keys that size an array, divide a range or cap a table, so must be positive. */
   private val countKeys: Seq[String] =
-    Seq("spectrum.bins", "hist.bins", "grid2d.xbins", "grid2d.ybins", "box.bins",
-      "freq.maxdistinct") ++
+    Seq("spectrum.bins", "hist.bins", "hist.gridpoints", "qq.points", "grid2d.xbins",
+      "grid2d.ybins", "box.bins", "freq.maxdistinct") ++
       registry.keys.filter(_.endsWith(".topk")).toSeq.sorted
+
+  /** The range of each numeric insight threshold: fractions, entropies and
+    * |r| lie in [0, 1], an L1 distance of two distributions in [0, 2], and
+    * |skewness| and |excess kurtosis| bounds are non-negative.
+    */
+  private val thresholdRanges: Seq[(String, Double, Double)] = Seq(
+    ("insight.missing.threshold", 0.0, 1.0),
+    ("insight.skew.threshold", 0.0, Double.PositiveInfinity),
+    ("insight.uniform.entropy", 0.0, 1.0),
+    ("insight.zeros.threshold", 0.0, 1.0),
+    ("insight.outlier.threshold", 0.0, 1.0),
+    ("insight.normal.skew", 0.0, Double.PositiveInfinity),
+    ("insight.normal.kurtosis", 0.0, Double.PositiveInfinity),
+    ("insight.similarity.threshold", 0.0, 2.0),
+    ("insight.correlation.threshold", 0.0, 1.0))
 
   val default: EdaConfig = EdaConfig(defaults)
 

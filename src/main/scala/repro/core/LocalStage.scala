@@ -2,7 +2,7 @@ package repro.core
 
 import repro.core.Intermediates._
 import repro.stats.{Kde, LocalStats}
-import repro.stats.LocalStats.PairMoments
+import repro.stats.LocalStats.{PairMoments, SortedColumn}
 
 /** The local stage of the Compute module (Section 5.2's "Pandas
   * computation"): plain Scala over the small results the distributed stage
@@ -27,41 +27,31 @@ object LocalStage {
     CorrelationMatrix(method, cols, values)
   }
 
-  /** Pairwise-complete (x, y) arrays of columns i, j of the collected
-    * numeric matrix (column-major, NaN = missing).
-    */
-  private def completePairs(matrix: Array[Array[Double]], i: Int, j: Int): (Array[Double], Array[Double]) = {
-    val xi = matrix(i); val yj = matrix(j)
-    val xs = new scala.collection.mutable.ArrayBuilder.ofDouble
-    val ys = new scala.collection.mutable.ArrayBuilder.ofDouble
-    var r = 0
-    while (r < xi.length) {
-      if (!xi(r).isNaN && !yj(r).isNaN) { xs += xi(r); ys += yj(r) }
-      r += 1
-    }
-    (xs.result(), ys.result())
-  }
-
   /** Every requested coefficient of each listed column pair (indices into
-    * `cols`) of the collected numeric matrix, keyed method → pair. A pair's
-    * complete rows are built once and feed every method; Spearman re-ranks
-    * within the pair (pandas semantics). Pairs fan out across a thread pool,
-    * the local stage's answer to the engine stage's parallelism: hundreds
-    * of O(n log n) pair computations would otherwise serialize on one core.
+    * `cols`) of the collected numeric matrix (column-major, NaN = missing),
+    * keyed method → pair, over the pair's complete rows (pandas' pairwise
+    * deletion).
+    *
+    * Each column in a pair is sorted once per call (`SortedColumn`), not
+    * once per pair. Spearman reuses a column's full ranks when its partner
+    * misses no row and otherwise re-walks its sorted order, skipping the
+    * partner's missing rows; Kendall counts discordant pairs with Knight's
+    * merge sort over tie-group ids. Ranks are exact halves and the counts
+    * integers, so the results equal a per-pair re-sort bit for bit. The
+    * column sorts and then the pairs run as tasks on the global pool.
     */
   def coefficients(cols: Seq[String], matrix: Array[Array[Double]], methods: Seq[String],
                    pairs: Seq[(Int, Int)]): Map[String, Map[(String, String), Double]] = {
-    import scala.concurrent.{Await, ExecutionContext, Future}
-    import scala.concurrent.duration.Duration
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    val perPair = Await.result(Future.sequence(pairs.map { case (i, j) => Future {
-      val (xs, ys) = completePairs(matrix, i, j)
+    val ranked = if (methods.forall(_ == "pearson")) Nil
+      else pairs.flatMap { case (i, j) => Seq(i, j) }.distinct
+    val sorted = ranked.zip(Concurrently.local(ranked.map(c => () => new SortedColumn(matrix(c))))).toMap
+    val perPair = Concurrently.local(pairs.map { case (i, j) => () =>
       methods.map {
-        case "pearson" => if (xs.length > 1) LocalStats.pearsonArrays(xs, ys) else Double.NaN
-        case "spearman" => if (xs.length > 1) LocalStats.spearmanArrays(xs, ys) else Double.NaN
-        case "kendall" => LocalStats.kendallTauB(xs, ys)
+        case "pearson" => LocalStats.pearsonArrays(matrix(i), matrix(j))
+        case "spearman" => LocalStats.spearman(sorted(i), sorted(j))
+        case "kendall" => LocalStats.kendallTauB(sorted(i), sorted(j))
       }
-    }}), Duration.Inf)
+    })
     val keys = pairs.map { case (i, j) => (cols(i), cols(j)) }
     methods.zipWithIndex.map { case (m, k) => m -> keys.zip(perPair.map(_(k))).toMap }.toMap
   }

@@ -164,20 +164,22 @@ object Render {
   }
 
   def correlationReport(c: Correlation.CorrelationIntermediates, cfg: EdaConfig): Report =
-    Report("Correlation Analysis", c.matrices.map(m =>
+    Report("Correlation Analysis", c.matrices.zip(c.matrixInsights).map { case (m, insights) =>
       Tab(m.method.capitalize, Seq(
         ChartComponent("corr-matrix", s"${m.method.capitalize} correlation matrix",
           m, howTo(cfg, "corr.")),
-        InsightList(c.insights.filter(_.message.contains(m.method))),
-      ))))
+        InsightList(insights),
+      ))
+    })
 
   def correlationVectorReport(c: Correlation.CorrelationVectorIntermediates, cfg: EdaConfig): Report =
-    Report(s"Correlation: ${c.column} vs others", c.vectors.map(v =>
+    Report(s"Correlation: ${c.column} vs others", c.vectors.zip(c.vectorInsights).map { case (v, insights) =>
       Tab(v.method.capitalize, Seq(
         ChartComponent("corr-vector", s"${v.method.capitalize} correlation of ${c.column}",
           v, howTo(cfg, "corr.")),
-        InsightList(c.insights.filter(_.message.contains(v.method))),
-      ))))
+        InsightList(insights),
+      ))
+    })
 
   def correlationPairReport(c: Correlation.CorrelationPairIntermediates, cfg: EdaConfig): Report = {
     val t = s"${c.scatter.xColumn} vs ${c.scatter.yColumn}"

@@ -80,87 +80,86 @@ object SparkStage extends Reductions {
     * quantile grids, zero/negative/infinite counts, string-length stats, the
     * table row count and the duplicate-row count.
     *
-    * Execution shape: `df.count()` (the chunk-size precompute analog), one
-    * `posexplode → groupBy(columnIndex)` job for ALL numeric columns, one
-    * for ALL categorical columns, and one duplicate-count agg — four Spark
-    * actions total regardless of column count. Grouping by column index
-    * keeps the aggregate-expression set constant-size, so Catalyst planning
-    * and codegen stay O(1) as tables get wider (a wide flat `agg` with
-    * 14 expressions *per column* spends tens of seconds in planning/janino
-    * before touching any data).
+    * Execution shape: `df.count()` (the chunk-size precompute analog) and
+    * then the duplicate-count agg, two `posexplode → groupBy(columnIndex)`
+    * jobs for ALL numeric columns, and one for ALL categorical columns —
+    * five Spark actions regardless of column count, submitted as four
+    * concurrent tasks. Grouping by column index keeps the aggregate-
+    * expression set constant-size, so Catalyst planning and codegen stay
+    * O(1) as tables get wider (a wide flat `agg` with 14 expressions *per
+    * column* spends tens of seconds in planning/janino before touching any
+    * data).
     */
   def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
                        withDuplicates: Boolean): TableAggregates = {
-    val rows = df.count()
+    // The plans, built (and analyzed) by the task that runs them.
+    val raw = col("s.raw"); val v = col("s.v")
+    lazy val exploded = df.select(posexplode(array(numCols.map { c =>
+      struct(colRef(c).cast(DoubleType).as("raw"), cleanNum(c).as("v"))
+    }: _*)).as(Seq("pos", "s")))
+    lazy val numericAgg = exploded
+      .groupBy(col("pos"))
+      .agg(
+        count(v),                                             // finite count
+        count(when(raw.isNull || isnan(raw), 1)),             // missing (null+NaN)
+        count(when(abs(raw) === Double.PositiveInfinity, 1)), // infinites
+        avg(v), stddev_samp(v), min(v), max(v), skewness(v), kurtosis(v), sum(v),
+        count(when(v === 0.0, 1)),
+        count(when(v < 0.0, 1)),
+        quantiles(v, PercentileProbs),
+      )
+    // distinct counts separately: a distinct aggregate next to the
+    // TypedImperative percentile forces a sort-aggregate over the
+    // expanded rows — two fast hash aggs beat one slow sort agg.
+    lazy val distinctAgg = exploded.groupBy(col("pos")).agg(count_distinct(v))
+    val value = col("value")
+    lazy val categoricalAgg = df
+      .select(posexplode(array(catCols.map(c => colRef(c).cast(StringType)): _*)).as(Seq("pos", "value")))
+      .groupBy(col("pos"))
+      .agg(count(value), count(when(value.isNull, 1)), count_distinct(value),
+        min(length(value)), max(length(value)), avg(length(value)))
+    lazy val distinctRows =
+      df.agg(count_distinct(struct(df.columns.toSeq.map(c => colRef(c).cast(StringType)): _*)))
 
-    val numeric: Map[String, NumericStats] = if (numCols.isEmpty) Map.empty else {
-      val structs = numCols.map { c =>
-        struct(colRef(c).cast(DoubleType).as("raw"), cleanNum(c).as("v"))
-      }
-      val raw = col("s.raw"); val v = col("s.v")
-      val exploded = df.select(posexplode(array(structs: _*)).as(Seq("pos", "s")))
-      val out = exploded
-        .groupBy(col("pos"))
-        .agg(
-          count(v),                                             // finite count
-          count(when(raw.isNull || isnan(raw), 1)),             // missing (null+NaN)
-          count(when(abs(raw) === Double.PositiveInfinity, 1)), // infinites
-          avg(v), stddev_samp(v), min(v), max(v), skewness(v), kurtosis(v), sum(v),
-          count(when(v === 0.0, 1)),
-          count(when(v < 0.0, 1)),
-          quantiles(v, PercentileProbs),
-        )
-        .collect()
-      // distinct counts separately: a distinct aggregate next to the
-      // TypedImperative percentile forces a sort-aggregate over the
-      // expanded rows — two fast hash aggs beat one slow sort agg.
-      val distincts = exploded.groupBy(col("pos")).agg(count_distinct(v)).collect()
-        .map(r => r.getInt(0) -> getLong(r, 1)).toMap
-      val byPos = out.map(r => r.getInt(0) -> r).toMap
-      numCols.zipWithIndex.map { case (c, p) =>
-        c -> (byPos.get(p) match {
-          case Some(r) => NumericStats(
-            name = c,
-            count = getLong(r, 1), missing = getLong(r, 2),
-            infinites = getLong(r, 3), distinct = distincts.getOrElse(p, 0L),
-            mean = getDouble(r, 4), std = getDouble(r, 5),
-            min = getDouble(r, 6), max = getDouble(r, 7),
-            skewness = getDouble(r, 8), kurtosis = getDouble(r, 9),
-            sum = getDouble(r, 10),
-            zeros = getLong(r, 11), negatives = getLong(r, 12),
-            percentiles =
-              if (r.isNullAt(13)) Array.empty[Double]
-              else r.getSeq[Double](13).toArray)
-          case None => NumericStats(c, 0, 0, 0, Double.NaN, Double.NaN, Double.NaN,
-            Double.NaN, Double.NaN, Double.NaN, 0, 0, 0, Double.NaN, Array.empty)
-        })
-      }.toMap
-    }
+    // The actions, inline so that each job's call site is columnAggregates.
+    val ((rows, dups), moments, distincts, categoricalRows) = Concurrently(df.sparkSession.sparkContext)({
+      val rows = df.count()
+      val withRows = withDuplicates && df.columns.nonEmpty && rows > 0
+      (rows, if (withRows) rows - getLong(distinctRows.head(), 0) else 0L)
+    },
+      if (numCols.isEmpty) Array.empty[Row] else numericAgg.collect(),
+      if (numCols.isEmpty) Array.empty[Row] else distinctAgg.collect(),
+      if (catCols.isEmpty) Array.empty[Row] else categoricalAgg.collect())
 
-    val categorical: Map[String, CategoricalStats] = if (catCols.isEmpty) Map.empty else {
-      val arr = array(catCols.map(c => colRef(c).cast(StringType)): _*)
-      val v = col("value")
-      val out = df.select(posexplode(arr).as(Seq("pos", "value")))
-        .groupBy(col("pos"))
-        .agg(count(v), count(when(v.isNull, 1)), count_distinct(v),
-          min(length(v)), max(length(v)), avg(length(v)))
-        .collect()
-      val byPos = out.map(r => r.getInt(0) -> r).toMap
-      catCols.zipWithIndex.map { case (c, p) =>
-        c -> (byPos.get(p) match {
-          case Some(r) => CategoricalStats(c, getLong(r, 1), getLong(r, 2), getLong(r, 3),
-            getLong(r, 4), getLong(r, 5), getDouble(r, 6))
-          case None => CategoricalStats(c, 0, 0, 0, 0, 0, Double.NaN)
-        })
-      }.toMap
-    }
+    val distinctByPos = distincts.map(r => r.getInt(0) -> getLong(r, 1)).toMap
+    val momentsByPos = moments.map(r => r.getInt(0) -> r).toMap
+    val numeric = numCols.zipWithIndex.map { case (c, p) =>
+      c -> (momentsByPos.get(p) match {
+        case Some(r) => NumericStats(
+          name = c,
+          count = getLong(r, 1), missing = getLong(r, 2),
+          infinites = getLong(r, 3), distinct = distinctByPos.getOrElse(p, 0L),
+          mean = getDouble(r, 4), std = getDouble(r, 5),
+          min = getDouble(r, 6), max = getDouble(r, 7),
+          skewness = getDouble(r, 8), kurtosis = getDouble(r, 9),
+          sum = getDouble(r, 10),
+          zeros = getLong(r, 11), negatives = getLong(r, 12),
+          percentiles =
+            if (r.isNullAt(13)) Array.empty[Double]
+            else r.getSeq[Double](13).toArray)
+        case None => NumericStats(c, 0, 0, 0, Double.NaN, Double.NaN, Double.NaN,
+          Double.NaN, Double.NaN, Double.NaN, 0, 0, 0, Double.NaN, Array.empty)
+      })
+    }.toMap
 
-    val dups =
-      if (withDuplicates && df.columns.nonEmpty && rows > 0) {
-        val allCols = df.columns.toSeq
-        rows - getLong(df.agg(
-          count_distinct(struct(allCols.map(c => colRef(c).cast(StringType)): _*))).head(), 0)
-      } else 0L
+    val categoricalByPos = categoricalRows.map(r => r.getInt(0) -> r).toMap
+    val categorical = catCols.zipWithIndex.map { case (c, p) =>
+      c -> (categoricalByPos.get(p) match {
+        case Some(r) => CategoricalStats(c, getLong(r, 1), getLong(r, 2), getLong(r, 3),
+          getLong(r, 4), getLong(r, 5), getDouble(r, 6))
+        case None => CategoricalStats(c, 0, 0, 0, 0, 0, Double.NaN)
+      })
+    }.toMap
 
     TableAggregates(rows, dups, numeric, categorical)
   }

@@ -31,119 +31,149 @@ object LocalStats {
     }
   }
 
+  /** Pearson's r over the rows where neither `x` nor `y` is NaN
+    * (pairwise-complete deletion), summed in row order; NaN when undefined.
+    */
   def pearsonArrays(x: Array[Double], y: Array[Double]): Double = {
     require(x.length == y.length, "pearson: length mismatch")
-    var sx = 0.0; var sy = 0.0; var sxx = 0.0; var syy = 0.0; var sxy = 0.0
+    var n = 0L; var sx = 0.0; var sy = 0.0; var sxx = 0.0; var syy = 0.0; var sxy = 0.0
     var i = 0
     while (i < x.length) {
       val a = x(i); val b = y(i)
-      sx += a; sy += b; sxx += a * a; syy += b * b; sxy += a * b
-      i += 1
-    }
-    PairMoments(x.length.toLong, sx, sy, sxx, syy, sxy).pearson
-  }
-
-  /** Average ranks (1-based); ties share the mean of their rank range.
-    * Primitive-array implementation — the local correlation stage runs this
-    * for every column pair, so boxing would dominate.
-    */
-  def averageRanksArray(xs: Array[Double]): Array[Double] = {
-    val n = xs.length
-    val idx = Array.range(0, n)
-    // sort indices by value without boxing
-    val sorted = idx.sortBy(xs) // sortBy on Array[Int] by Double key
-    val out = new Array[Double](n)
-    var i = 0
-    while (i < n) {
-      var j = i
-      while (j + 1 < n && xs(sorted(j + 1)) == xs(sorted(i))) j += 1
-      val r = (i + j + 2) / 2.0 // mean of 1-based ranks i+1 .. j+1
-      var k = i
-      while (k <= j) { out(sorted(k)) = r; k += 1 }
-      i = j + 1
-    }
-    out
-  }
-
-  def spearmanArrays(x: Array[Double], y: Array[Double]): Double = {
-    require(x.length == y.length, "spearman: length mismatch")
-    val rx = averageRanksArray(x); val ry = averageRanksArray(y)
-    val n = x.length.toLong
-    var sx = 0.0; var sy = 0.0; var sxx = 0.0; var syy = 0.0; var sxy = 0.0
-    var i = 0
-    while (i < x.length) {
-      val a = rx(i); val b = ry(i)
-      sx += a; sy += b; sxx += a * a; syy += b * b; sxy += a * b
+      if (!a.isNaN && !b.isNaN) { n += 1; sx += a; sy += b; sxx += a * a; syy += b * b; sxy += a * b }
       i += 1
     }
     PairMoments(n, sx, sy, sxx, syy, sxy).pearson
   }
 
-  /** Kendall's tau-b via Knight's O(n log n) algorithm, with tie handling.
+  /** One column of the collected numeric matrix (NaN = missing), sorted
+    * once for the rank coefficients of every pair it is in.
     *
-    * tau-b = (P - Q) / sqrt((n0 - n1)(n0 - n2)) where n0 = n(n-1)/2,
-    * n1/n2 are tie-pair counts in x/y, and P - Q = n0 - n1 - n2 + n3 - 2*swaps
-    * (n3 = joint-tie pairs, swaps = merge-sort exchange count of y after
-    * sorting by (x, y)).
+    * `order` lists the non-missing rows by `Double.compare`; `group(r)` is
+    * row r's dense tie-group id in that order, -1 where missing. Ties are
+    * `==` (so -0.0 and 0.0, adjacent in the sort, share a group), the rule
+    * of pandas and scipy. `ranks(r)` is the row's 1-based average rank among
+    * the non-missing rows, NaN where missing.
     */
-  def kendallTauB(x: Array[Double], y: Array[Double]): Double = {
-    require(x.length == y.length, "kendall: length mismatch")
-    val n = x.length
-    if (n < 2) return Double.NaN
-    val order = (0 until n).sortBy(i => (x(i), y(i))).toArray
-
-    def tiePairs(sorted: Array[Double]): Long = {
-      var total = 0L; var i = 0
-      while (i < sorted.length) {
-        var j = i
-        while (j + 1 < sorted.length && sorted(j + 1) == sorted(i)) j += 1
-        val t = (j - i + 1).toLong
-        total += t * (t - 1) / 2
-        i = j + 1
-      }
-      total
+  final class SortedColumn(val values: Array[Double]) {
+    val order: Array[Int] = {
+      val rows = (0 until values.length).filter(r => !values(r).isNaN).toArray
+      mergeSort(rows, (a, b) => java.lang.Double.compare(values(a), values(b)))
+      rows
     }
-
-    val n0 = n.toLong * (n - 1) / 2
-    val n1 = tiePairs(x.sorted)
-    val n2 = tiePairs(y.sorted)
-    // joint ties: runs of identical (x, y) in the sorted order
-    var n3 = 0L
-    var i = 0
-    while (i < n) {
-      var j = i
-      while (j + 1 < n &&
-             x(order(j + 1)) == x(order(i)) && y(order(j + 1)) == y(order(i))) j += 1
-      val t = (j - i + 1).toLong
-      n3 += t * (t - 1) / 2
-      i = j + 1
-    }
-
-    // merge sort on y (in x-then-y order), counting exchanges
-    val ys = order.map(y)
-    var swaps = 0L
-    val buf = new Array[Double](n)
-    def merge(lo: Int, mid: Int, hi: Int): Unit = {
-      var a = lo; var b = mid; var k = lo
-      while (a < mid && b < hi) {
-        if (ys(a) <= ys(b)) { buf(k) = ys(a); a += 1 }
-        else { buf(k) = ys(b); b += 1; swaps += (mid - a) }
+    val group: Array[Int] = Array.fill(values.length)(-1)
+    val groups: Int = {
+      var g = -1; var k = 0
+      while (k < order.length) {
+        if (k == 0 || values(order(k)) != values(order(k - 1))) g += 1
+        group(order(k)) = g
         k += 1
       }
-      while (a < mid) { buf(k) = ys(a); a += 1; k += 1 }
-      while (b < hi)  { buf(k) = ys(b); b += 1; k += 1 }
-      System.arraycopy(buf, lo, ys, lo, hi - lo)
+      g + 1
     }
-    def sort(lo: Int, hi: Int): Unit = {
-      if (hi - lo < 2) return
-      val mid = (lo + hi) >>> 1
-      sort(lo, mid); sort(mid, hi); merge(lo, mid, hi)
-    }
-    sort(0, n)
+    val ranks: Array[Double] = ranksAmong(values)
+    def hasMissing: Boolean = order.length < values.length
 
+    /** Average ranks among the rows where `partner` is not NaN, from one
+      * walk of `order` that skips the other rows and re-averages the ties;
+      * NaN on the skipped and missing rows.
+      */
+    def ranksAmong(partner: Array[Double]): Array[Double] = {
+      val out = Array.fill(values.length)(Double.NaN)
+      var i = 0; var p = 0 // p: rows kept before this tie group
+      while (i < order.length) {
+        var j = i; var kept = 0
+        while (j < order.length && group(order(j)) == group(order(i))) {
+          if (!partner(order(j)).isNaN) kept += 1
+          j += 1
+        }
+        val r = (p + (p + kept - 1) + 2) / 2.0 // mean of 1-based ranks p+1 .. p+kept
+        while (i < j) { if (!partner(order(i)).isNaN) out(order(i)) = r; i += 1 }
+        p += kept
+      }
+      out
+    }
+  }
+
+  /** Spearman's rho over the complete rows of a pair: Pearson's r of the
+    * average ranks re-taken among those rows (pandas' pairwise deletion). A
+    * column's full ranks serve as they are when its partner misses no row.
+    */
+  def spearman(x: SortedColumn, y: SortedColumn): Double =
+    pearsonArrays(if (y.hasMissing) x.ranksAmong(y.values) else x.ranks,
+      if (x.hasMissing) y.ranksAmong(x.values) else y.ranks)
+
+  /** Kendall's tau-b over the complete rows of a pair, by Knight's
+    * O(n log n) method (Knight, JASA 1966) with tie handling.
+    *
+    * tau-b = (P - Q) / sqrt((n0 - n1)(n0 - n2)) where n0 = n(n-1)/2, n1/n2
+    * are tie-pair counts in x/y, and P - Q = n0 - n1 - n2 + n3 - 2*swaps
+    * (n3 = joint-tie pairs, swaps = merge-sort exchanges of y's tie groups
+    * in (x, y) order). The complete rows are taken in y's sorted order and
+    * put in (x, y) order by a stable counting sort on x's tie group, so
+    * neither column is sorted again.
+    */
+  def kendallTauB(x: SortedColumn, y: SortedColumn): Double = {
+    val complete = new Array[Int](y.order.length)
+    var n = 0; var k = 0
+    while (k < y.order.length) {
+      if (x.group(y.order(k)) >= 0) { complete(n) = y.order(k); n += 1 }
+      k += 1
+    }
+    if (n < 2) return Double.NaN
+    def tiePairs(t: Long): Long = t * (t - 1) / 2
+    val start = new Array[Int](x.groups + 1) // rows per x group, then each group's first slot
+    var n2 = 0L; var run = 0L
+    k = 0
+    while (k < n) {
+      start(x.group(complete(k)) + 1) += 1
+      run = if (k > 0 && y.group(complete(k)) == y.group(complete(k - 1))) run + 1 else 1
+      n2 += run - 1 // a row ties with every row before it in its run
+      k += 1
+    }
+    var n1 = 0L; var g = 0
+    while (g < x.groups) { n1 += tiePairs(start(g + 1)); start(g + 1) += start(g); g += 1 }
+    val xs = new Array[Int](n); val ys = new Array[Int](n)
+    k = 0
+    while (k < n) {
+      val r = complete(k); val slot = start(x.group(r))
+      xs(slot) = x.group(r); ys(slot) = y.group(r); start(x.group(r)) += 1
+      k += 1
+    }
+    var n3 = 0L; run = 0L
+    k = 0
+    while (k < n) {
+      run = if (k > 0 && xs(k) == xs(k - 1) && ys(k) == ys(k - 1)) run + 1 else 1
+      n3 += run - 1 // likewise for a run of equal (x, y)
+      k += 1
+    }
+    val swaps = mergeSort(ys, Integer.compare)
+    val n0 = tiePairs(n)
     val pq = n0 - n1 - n2 + n3 - 2 * swaps
     val denom = math.sqrt((n0 - n1).toDouble) * math.sqrt((n0 - n2).toDouble)
     if (denom == 0) Double.NaN else pq / denom
+  }
+
+  /** Stable merge sort of `a` by `cmp`; returns the exchanges, the pairs an
+    * element overtakes (i < j with cmp(a(i), a(j)) > 0).
+    */
+  private def mergeSort(a: Array[Int], cmp: (Int, Int) => Int): Long = {
+    val buf = new Array[Int](a.length)
+    def sort(lo: Int, hi: Int): Long = if (hi - lo < 2) 0L else {
+      val mid = (lo + hi) >>> 1
+      var swaps = sort(lo, mid) + sort(mid, hi)
+      var i = lo; var j = mid; var k = lo
+      while (i < mid && j < hi) {
+        if (cmp(a(i), a(j)) <= 0) { buf(k) = a(i); i += 1 }
+        else { buf(k) = a(j); j += 1; swaps += mid - i }
+        k += 1
+      }
+      System.arraycopy(a, i, buf, k, mid - i)
+      System.arraycopy(a, j, buf, k + mid - i, hi - j)
+      System.arraycopy(buf, lo, a, lo, hi - lo)
+      swaps
+    }
+    sort(0, a.length)
   }
 
   /** Inverse standard-normal CDF (Acklam's rational approximation,

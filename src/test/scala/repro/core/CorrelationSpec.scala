@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestHelpers}
-import repro.stats.LocalStats
+import repro.stats.References
 
 /** plot_correlation(df[, col1[, col2]]). */
 class CorrelationSpec extends SparkSpec with TestHelpers {
@@ -46,13 +46,24 @@ class CorrelationSpec extends SparkSpec with TestHelpers {
   test("matrix: spearman matches the local reference") {
     val sp = inter.matrices.find(_.method == "spearman").get
     val xs = collectDoubles(df, "x"); val ys = collectDoubles(df, "y")
-    assertApprox(sp(0, 1), LocalStats.spearmanArrays(xs.toArray, ys.toArray), 1e-9, "spearman xy")
+    assertApprox(sp(0, 1), References.spearmanArrays(xs.toArray, ys.toArray), 1e-9, "spearman xy")
   }
 
   test("matrix: kendall matches the local reference") {
     val kd = inter.matrices.find(_.method == "kendall").get
     val xs = collectDoubles(df, "x").toArray; val zs = collectDoubles(df, "z").toArray
-    assertApprox(kd(0, 2), LocalStats.kendallTauB(xs, zs), 1e-9, "kendall xz")
+    assertApprox(kd(0, 2), References.kendallTauB(xs, zs), 1e-9, "kendall xz")
+  }
+
+  test("matrix: kendall counts -0.0 and 0.0 as tied, as pandas and scipy do") {
+    val d = Seq((-0.0, 5.0), (0.0, 1.0), (1.0, 3.0)).toDF("x", "y")
+    // the collect keeps the sign of zero, so the kernels see both zeros
+    val collected = SparkStage.collectNumericMatrix(d, Seq("x"), 3, 10)(0)
+    assert(java.lang.Double.compare(collected(0), collected(1)) < 0, collected.toSeq)
+    // pairs: (0,1) tied in x, (0,2) discordant, (1,2) concordant -> P - Q = 0
+    val kd = Correlation.matrix(d, cfg).matrices.find(_.method == "kendall").get
+    assert(kd(0, 1) == 0.0, s"kendall = ${kd(0, 1)}")
+    assert(References.kendallTauBBrute(Array(-0.0, 0.0, 1.0), Array(5.0, 1.0, 3.0)) == 0.0)
   }
 
   test("matrix: monotone nonlinear relation gives spearman 1, pearson < 1") {

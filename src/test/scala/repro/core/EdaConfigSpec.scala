@@ -82,6 +82,21 @@ class EdaConfigSpec extends AnyFunSuite {
       assert(e.getMessage.contains("freq.maxdistinct"), e.getMessage)
     }
   }
+
+  // one out-of-range value per key: counts must be positive, thresholds in range
+  Seq("hist.gridpoints" -> 0, "qq.points" -> -1,
+      "insight.missing.threshold" -> 1.5, "insight.cardinality.threshold" -> -1,
+      "insight.skew.threshold" -> -0.5, "insight.uniform.entropy" -> 1.01,
+      "insight.zeros.threshold" -> -0.1, "insight.outlier.threshold" -> 2,
+      "insight.normal.skew" -> -1, "insight.normal.kurtosis" -> Double.NaN,
+      "insight.similarity.threshold" -> 2.5, "insight.correlation.threshold" -> 1.2,
+  ).foreach { case (k, v) =>
+    test(s"$k = $v is rejected, naming the key") {
+      val e = intercept[IllegalArgumentException](EdaConfig.from(Map(k -> v)))
+      assert(e.getMessage.contains(k), e.getMessage)
+    }
+  }
+
   test("unknown correlation methods are rejected, naming the key and the value") {
     val e = intercept[IllegalArgumentException](
       EdaConfig.from(Map("corr.methods" -> Seq("pearson", "spearmann"))))

@@ -1,7 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
+
 import repro.core.Intermediates._
+import repro.stats.{LocalStats, References}
 import repro.stats.LocalStats.PairMoments
 
 /** Local-stage assembly (the paper's Pandas-computation analog). */
@@ -32,6 +35,60 @@ class LocalStageSpec extends AnyFunSuite {
     val k = LocalStage.coefficients(cols, matrix, Seq("kendall"), Seq((0, 1)))("kendall")(("x", "y"))
     // complete rows: (1,1), (4,4) -> perfectly concordant
     assert(approx(k, 1.0))
+  }
+
+  test("coefficients: NaN in different rows of both columns re-ranks among complete rows") {
+    val matrix = Array(
+      Array(3.0, Double.NaN, 1.0, 2.0, 2.0, 5.0, Double.NaN),
+      Array(Double.NaN, 4.0, 1.0, 1.0, 3.0, Double.NaN, 2.0))
+    val got = LocalStage.coefficients(Seq("x", "y"), matrix, EdaConfig.CorrelationMethods, Seq((0, 1)))
+    // complete rows 2, 3 and 4: x = (1, 2, 2), y = (1, 1, 3)
+    val (xs, ys) = (Array(1.0, 2.0, 2.0), Array(1.0, 1.0, 3.0))
+    assert(got("spearman")(("x", "y")) == References.spearmanArrays(xs, ys))
+    assert(got("kendall")(("x", "y")) == References.kendallTauB(xs, ys))
+    assert(got("pearson")(("x", "y")) == LocalStats.pearsonArrays(xs, ys))
+  }
+
+  /** A column of `n` rows drawn from few levels (heavy ties, -0.0 beside
+    * 0.0), or continuous, with its own share of missing rows (maybe none).
+    */
+  private def randomColumn(rnd: Random, n: Int): Array[Double] = {
+    val levels = if (rnd.nextInt(4) == 0) 0 else 1 + rnd.nextInt(6)
+    val missing = if (rnd.nextBoolean()) 0.0 else rnd.nextDouble() * 0.5
+    Array.fill(n) {
+      if (rnd.nextDouble() < missing) Double.NaN
+      else if (levels == 0) rnd.nextGaussian()
+      else (rnd.nextInt(levels) - levels / 2) match {
+        case 0 if rnd.nextBoolean() => -0.0
+        case v => v.toDouble
+      }
+    }
+  }
+
+  test("coefficients: equal to the per-pair re-rank reference with == (property)") {
+    val cols = Seq("a", "b", "c", "d")
+    val pairs = for (i <- cols.indices; j <- i + 1 until cols.size) yield (i, j)
+    for (seed <- 0 until 300) {
+      val rnd = new Random(seed)
+      val n = if (seed < 30) seed % 3 else rnd.nextInt(80)
+      val matrix = Array.fill(cols.size)(randomColumn(rnd, n))
+      val got = LocalStage.coefficients(cols, matrix, EdaConfig.CorrelationMethods, pairs)
+      for ((i, j) <- pairs) {
+        val complete = (0 until n).filter(r => !matrix(i)(r).isNaN && !matrix(j)(r).isNaN)
+        val xs = complete.map(matrix(i)).toArray; val ys = complete.map(matrix(j)).toArray
+        val want = Map(
+          "pearson" -> LocalStats.pearsonArrays(xs, ys),
+          "spearman" -> (if (xs.length > 1) References.spearmanArrays(xs, ys) else Double.NaN),
+          "kendall" -> References.kendallTauB(xs, ys))
+        val hint = s"seed $seed pair ($i, $j): x = ${xs.toSeq}, y = ${ys.toSeq}"
+        want.foreach { case (m, w) =>
+          val g = got(m)((cols(i), cols(j)))
+          assert(g == w || (g.isNaN && w.isNaN), s"$m: $g != $w, $hint")
+        }
+        assert(approx(got("kendall")((cols(i), cols(j))), References.kendallTauBBrute(xs, ys), 1e-12),
+          s"kendall vs brute force, $hint")
+      }
+    }
   }
 
   private val stats = NumericStats("v", 100, 0, 90, 50.0, 10.0, 0.0, 100.0,

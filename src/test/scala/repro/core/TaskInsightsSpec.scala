@@ -7,8 +7,8 @@ import repro.SparkSpec
 
 /** The exact insights each fine-grained task reports on one linear pair:
   * y = 2x + 1 over x = 1..20, and a categorical `m` missing wherever x > 10.
-  * Render picks correlation insights by their message text, so kind,
-  * columns, message and value are all pinned.
+  * Kind, columns, message and value are all pinned, and each correlation
+  * tab shows the insights of its own method only.
   */
 class TaskInsightsSpec extends SparkSpec {
 
@@ -47,6 +47,17 @@ class TaskInsightsSpec extends SparkSpec {
 
   test("Bivariate.numNum: the pearson high-correlation insight") {
     assert(Bivariate.numNum(df, "x", "y", cfg).insights == Seq(correlated("pearson")))
+  }
+
+  test("each correlation tab lists its own method's insights, whatever the column names") {
+    val named = df.withColumnRenamed("x", "kendall_a")
+    def insight(method: String) = Insight("high-correlation", Seq("kendall_a", "y"),
+      s"kendall_a and y are highly correlated ($method = 1.000)", 1.0)
+    for (report <- Seq(Eda.plotCorrelation(named), Eda.plotCorrelation(named, "kendall_a"));
+         method <- Seq("pearson", "spearman", "kendall")) {
+      val listed = report.tab(method.capitalize).components.collect { case ReportModel.InsightList(is) => is }
+      assert(listed == Seq(Seq(insight(method))), s"${report.title}, $method tab")
+    }
   }
 
   test("Missing.impact: one missing-impact insight per numeric column") {

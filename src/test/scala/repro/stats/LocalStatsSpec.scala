@@ -7,8 +7,15 @@ import scala.util.Random
   * property checks against brute-force references.
   */
 class LocalStatsSpec extends AnyFunSuite {
-  import LocalStats._
-  import References._
+  import LocalStats.{PairMoments, SortedColumn, l1Distance, normalPpf, normalizedEntropy, pearsonArrays}
+  import References.{kendallTauBBrute, mean, normalCdf, skewness, stddev, variance}
+
+  /** The sort-once kernels on a pair of columns with no missing value. */
+  private def averageRanksArray(xs: Array[Double]): Array[Double] = new SortedColumn(xs).ranks
+  private def spearmanArrays(x: Array[Double], y: Array[Double]): Double =
+    LocalStats.spearman(new SortedColumn(x), new SortedColumn(y))
+  private def kendallTauB(x: Array[Double], y: Array[Double]): Double =
+    LocalStats.kendallTauB(new SortedColumn(x), new SortedColumn(y))
 
   private def approx(a: Double, b: Double, tol: Double = 1e-9): Boolean =
     (a.isNaN && b.isNaN) || math.abs(a - b) <= tol * math.max(1.0, math.max(math.abs(a), math.abs(b)))

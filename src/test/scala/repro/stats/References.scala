@@ -1,7 +1,8 @@
 package repro.stats
 
 /** Plain reference implementations that tests compare the program's
-  * statistics against.
+  * statistics against, among them the per-pair re-rank kernels that the
+  * sort-once `LocalStage.coefficients` replaced.
   */
 object References {
 
@@ -27,14 +28,101 @@ object References {
     if (m2 <= 0) Double.NaN else m3 / math.pow(m2, 1.5)
   }
 
-  /** Brute-force tau-b. */
+  /** Average ranks (1-based); ties (`==`) share the mean of their rank range. */
+  def averageRanksArray(xs: Array[Double]): Array[Double] = {
+    val n = xs.length
+    val sorted = Array.range(0, n).sortBy(xs)
+    val out = new Array[Double](n)
+    var i = 0
+    while (i < n) {
+      var j = i
+      while (j + 1 < n && xs(sorted(j + 1)) == xs(sorted(i))) j += 1
+      val r = (i + j + 2) / 2.0 // mean of 1-based ranks i+1 .. j+1
+      var k = i
+      while (k <= j) { out(sorted(k)) = r; k += 1 }
+      i = j + 1
+    }
+    out
+  }
+
+  /** Spearman's rho of complete arrays, re-ranked per call. */
+  def spearmanArrays(x: Array[Double], y: Array[Double]): Double =
+    LocalStats.pearsonArrays(averageRanksArray(x), averageRanksArray(y))
+
+  /** Kendall's tau-b of complete arrays by Knight's method, re-sorting per
+    * call. Ties are `==`: adding 0.0 turns -0.0 into 0.0 before the sort,
+    * which would otherwise order -0.0 below 0.0 while counting them tied.
+    */
+  def kendallTauB(x0: Array[Double], y0: Array[Double]): Double = {
+    require(x0.length == y0.length, "kendall: length mismatch")
+    val x = x0.map(_ + 0.0); val y = y0.map(_ + 0.0)
+    val n = x.length
+    if (n < 2) return Double.NaN
+    val order = (0 until n).sortBy(i => (x(i), y(i))).toArray
+
+    def tiePairs(sorted: Array[Double]): Long = {
+      var total = 0L; var i = 0
+      while (i < sorted.length) {
+        var j = i
+        while (j + 1 < sorted.length && sorted(j + 1) == sorted(i)) j += 1
+        val t = (j - i + 1).toLong
+        total += t * (t - 1) / 2
+        i = j + 1
+      }
+      total
+    }
+
+    val n0 = n.toLong * (n - 1) / 2
+    val n1 = tiePairs(x.sorted)
+    val n2 = tiePairs(y.sorted)
+    // joint ties: runs of identical (x, y) in the sorted order
+    var n3 = 0L
+    var i = 0
+    while (i < n) {
+      var j = i
+      while (j + 1 < n &&
+             x(order(j + 1)) == x(order(i)) && y(order(j + 1)) == y(order(i))) j += 1
+      val t = (j - i + 1).toLong
+      n3 += t * (t - 1) / 2
+      i = j + 1
+    }
+
+    // merge sort on y (in x-then-y order), counting exchanges
+    val ys = order.map(y)
+    var swaps = 0L
+    val buf = new Array[Double](n)
+    def merge(lo: Int, mid: Int, hi: Int): Unit = {
+      var a = lo; var b = mid; var k = lo
+      while (a < mid && b < hi) {
+        if (ys(a) <= ys(b)) { buf(k) = ys(a); a += 1 }
+        else { buf(k) = ys(b); b += 1; swaps += (mid - a) }
+        k += 1
+      }
+      while (a < mid) { buf(k) = ys(a); a += 1; k += 1 }
+      while (b < hi)  { buf(k) = ys(b); b += 1; k += 1 }
+      System.arraycopy(buf, lo, ys, lo, hi - lo)
+    }
+    def sort(lo: Int, hi: Int): Unit = {
+      if (hi - lo < 2) return
+      val mid = (lo + hi) >>> 1
+      sort(lo, mid); sort(mid, hi); merge(lo, mid, hi)
+    }
+    sort(0, n)
+
+    val pq = n0 - n1 - n2 + n3 - 2 * swaps
+    val denom = math.sqrt((n0 - n1).toDouble) * math.sqrt((n0 - n2).toDouble)
+    if (denom == 0) Double.NaN else pq / denom
+  }
+
+  /** Brute-force tau-b over all pairs; ties are `==`. */
   def kendallTauBBrute(x: Array[Double], y: Array[Double]): Double = {
     val n = x.length
     if (n < 2) return Double.NaN
+    def sign(a: Double, b: Double): Int = if (a == b) 0 else if (a < b) -1 else 1
     var p = 0L; var q = 0L; var tx = 0L; var ty = 0L
     for (i <- 0 until n; j <- i + 1 until n) {
-      val dx = java.lang.Double.compare(x(i), x(j))
-      val dy = java.lang.Double.compare(y(i), y(j))
+      val dx = sign(x(i), x(j))
+      val dy = sign(y(i), y(j))
       if (dx == 0 && dy == 0) () // joint tie: counts in neither
       else if (dx == 0) tx += 1
       else if (dy == 0) ty += 1
