@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.{EdaConfig, Overview, SparkStage, LocalStage}
+import repro.core.{EdaConfig, Overview, SparkStage}
 import repro.baseline.ProfilingBaseline
 import repro.data.EdaData
 
@@ -31,10 +31,8 @@ class EngineStrategyBench extends BenchHarness {
     val (_, tPerPlot) = time {
       // one fused agg per column (stats panel), one histogram job per column
       numCols.foreach { c =>
-        val aggs = SparkStage.columnAggregates(df, Seq(c), Nil, withDuplicates = false)
-        val s = aggs.numeric(c)
-        if (s.count > 0)
-          SparkStage.histograms(df, Seq(c), Seq(s.min), Seq(s.max), cfg.int("hist.bins"))
+        val s = SparkStage.columnAggregates(df, Seq(c), Nil, withDuplicates = false).numeric(c)
+        if (s.count > 0) SparkStage.histograms(df, Seq(s), cfg.int("hist.bins"))
       }
     }
 
@@ -42,8 +40,7 @@ class EngineStrategyBench extends BenchHarness {
       // one job per statistic per column
       numCols.foreach { c =>
         val s = ProfilingBaseline.numericStats(df, c)
-        if (s.count > 0)
-          ProfilingBaseline.histogram(df, c, s.min, s.max, cfg.int("hist.bins"))
+        if (s.count > 0) ProfilingBaseline.histograms(df, Seq(s), cfg.int("hist.bins"))
       }
     }
     df.unpersist()

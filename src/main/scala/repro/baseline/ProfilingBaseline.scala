@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
 import repro.core._
-import repro.core.SparkStage.{cleanNum, colRef, getDouble, getLong}
+import repro.core.SparkStage.{binOf, cleanNum, colRef, countsOf, edgesOf, getDouble, getLong, widthOf}
 import repro.core.Intermediates._
 
 /** The comparison baseline: a Pandas-profiling-style profiler.
@@ -15,9 +15,10 @@ import repro.core.Intermediates._
   * across visualizations. This object reproduces that execution shape on
   * Spark as an implementation of `Reductions` — one Spark action per
   * statistic per column, one action per correlation pair per method, one
-  * per nullity pair — and holds no assembly code: its report comes from the
-  * same `Eda.computeReportIntermediates(df, cfg, r)` as the fused one, so
-  * the Table 2 comparison measures execution strategy, not differing work.
+  * per interaction grid, one per nullity pair — and holds no assembly
+  * code: its report comes from the same `Eda.computeReportIntermediates(df,
+  * cfg, r)` as the fused one, so the Table 2 comparison measures execution
+  * strategy, not differing work.
   * Its Pearson coefficients come from per-pair moments rather than the
   * collected sample, so the cross-check suite still compares two
   * computations.
@@ -75,19 +76,19 @@ object ProfilingBaseline extends Reductions {
       catCols.map(c => c -> categoricalStats(df, c)).toMap)
   }
 
-  /** One histogram job per column (no posexplode fusion). */
-  def histogram(df: DataFrame, c: String, mn: Double, mx: Double, bins: Int): Histogram = {
-    val w = SparkStage.widthOf(mn, mx, bins)
-    val x = cleanNum(c)
-    val rows = df.where(x.isNotNull)
-      .groupBy(SparkStage.binOf(x, lit(mn), lit(w), bins).as("bin")).count().collect()
-    Histogram(c, SparkStage.edgesOf(mn, w, bins),
-      SparkStage.countsOf(bins, rows.map(r => (r.getInt(0), r.getLong(1)))))
-  }
-
-  def histograms(df: DataFrame, cols: Seq[String], mins: Seq[Double], maxs: Seq[Double],
-                 bins: Int): Map[String, Histogram] =
-    cols.indices.map(i => cols(i) -> histogram(df, cols(i), mins(i), maxs(i), bins)).toMap
+  /** One histogram job and one outlier-count action per column (no
+    * posexplode fusion).
+    */
+  def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn] =
+    stats.map { s =>
+      val w = widthOf(s.min, s.max, bins)
+      val x = cleanNum(s.name)
+      val rows = df.where(x.isNotNull)
+        .groupBy(binOf(x, lit(s.min), lit(w), bins).as("bin")).count().collect()
+      val hist = Histogram(s.name, edgesOf(s.min, w, bins), countsOf(bins, rows.map(r => (r.getInt(0), r.getLong(1)))))
+      val (lo, hi) = LocalStage.fences(s)
+      s.name -> SparkStage.BinnedColumn(hist, hist.counts, firstLong(df, count(when(x < lo || x > hi, 1))))
+    }.toMap
 
   /** One frequency job per column. */
   def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =
@@ -98,9 +99,18 @@ object ProfilingBaseline extends Reductions {
       .collect()
       .map(r => (r.getString(0), r.getLong(1))).toSeq).toMap
 
-  /** One outlier-count action per column. */
-  def outlierCounts(df: DataFrame, fences: Seq[(String, Double, Double)]): Map[String, Long] =
-    fences.map(f => f._1 -> SparkStage.outlierCounts(df, Seq(f))(f._1)).toMap
+  /** One 2-D grid job per pair. */
+  def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D] =
+    pairs.map { case (a, b) =>
+      val (xw, yw) = (widthOf(a.min, a.max, xBins), widthOf(b.min, b.max, yBins))
+      val x = cleanNum(a.name); val y = cleanNum(b.name)
+      val byX = df.where(x.isNotNull && y.isNotNull)
+        .groupBy(binOf(x, lit(a.min), lit(xw), xBins).as("xb"), binOf(y, lit(b.min), lit(yw), yBins).as("yb"))
+        .count().collect()
+        .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2)))
+      Grid2D(a.name, b.name, edgesOf(a.min, xw, xBins), edgesOf(b.min, yw, yBins),
+        Array.tabulate(xBins)(i => countsOf(yBins, byX.getOrElse(i, Nil))))
+    }
 
   /** One action per pair per method: Pearson from the pair's moments,
     * Spearman and Kendall from the pair's own collect.

@@ -42,8 +42,7 @@ object Bivariate {
 
     val (moments, scatter) = Correlation.scatterWithRegression(df, x, y, cfg)
 
-    val grid = SparkStage.grid2d(df, x, y, xs.min, xs.max, ys.min, ys.max,
-      cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins"))
+    val grid = SparkStage.grids(df, Seq((xs, ys)), cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins")).head
 
     val (edges, binned) = SparkStage.binnedQuantiles(df, x, y, xs.min, xs.max,
       cfg.int("box.bins"))

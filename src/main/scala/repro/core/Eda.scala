@@ -78,23 +78,23 @@ object Eda {
       correlations: Correlation.CorrelationIntermediates,
       missing: Missing.MissingOverviewIntermediates)
 
-  /** The fused report pipeline (the DataPrep.EDA column of Table 2):
-    * O(1) Spark actions regardless of column count, in two waves of
-    * concurrent jobs —
+  /** The fused report pipeline (the DataPrep.EDA column of Table 2): 11
+    * Spark actions regardless of column count, in two waves of concurrent
+    * jobs —
     *
     *  1. wave 1, the reductions that need nothing computed first: the fused
-    *     per-column aggregates over every column (precompute stage; shared
-    *     by the Overview section, every Variables section, and the
-    *     correlation variance bookkeeping), one job for all frequency
+    *     per-column aggregates over every column (precompute stage, five
+    *     jobs; shared by the Overview section, every Variables section, and
+    *     the correlation variance bookkeeping), one job for all frequency
     *     tables, and, for missing values, one row-count job and one
     *     `groupBy(spectrum bucket, missing pattern)` job (bar counts,
     *     spectrum, nullity correlation and dendrogram all come from the
     *     pattern counts);
     *  2. wave 2, the reductions whose plans take literals from pass 1: one
-    *     job for all histograms, one for all outlier counts, the
-    *     `report.interactions` small 2-D grid jobs, and one reduce-to-driver
-    *     collect feeding local Pearson, Spearman and Kendall, which sort
-    *     each column once (`LocalStage.coefficients`).
+    *     job for all histograms with their outlier counts, one for all
+    *     `report.interactions` 2-D grids, and one reduce-to-driver collect
+    *     feeding local Pearson, Spearman and Kendall, which sort each column
+    *     once (`LocalStage.coefficients`).
     */
   def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): ReportIntermediates =
     computeReportIntermediates(df, cfg, SparkStage)
@@ -123,18 +123,15 @@ object Eda {
       yield (withData(i), withData(j))).take(cfg.int("report.interactions"))
     val corrCols = numCols.take(cfg.int("corr.maxcols"))
 
-    val (hists, outliers, interactions, coefficients) = concurrently(
-      r.histogramsOf(df, numStats, cfg.int("hist.bins")),
-      r.outliersOf(df, numStats),
-      concurrently(pairs.map { case (a, b) => () =>
-        SparkStage.grid2d(df, a.name, b.name, a.min, a.max, b.min, b.max,
-          cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins"))
-      }),
+    val (binned, interactions, coefficients) = concurrently(
+      r.histograms(df, withData, cfg.int("hist.bins")),
+      r.grids(df, pairs, cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins")),
       r.correlations(df, corrCols, aggs.rows, cfg.strings("corr.methods"), cfg.long("corr.maxrows")))
 
-    val overview = Overview.fromAggregates(cfg, numCols, catCols, aggs, hists, freqs)
+    val overview = Overview.fromAggregates(cfg, numCols, catCols, aggs,
+      binned.map { case (c, b) => c -> b.histogram }, freqs)
     val variables: Seq[Univariate.UnivariateIntermediates] =
-      numStats.map(Univariate.fromStats(_, cfg, hists, outliers)) ++
+      numStats.map(Univariate.fromStats(_, cfg, binned)) ++
         catCols.map(c => Univariate.fromCatStats(aggs.categorical(c), cfg, freqs,
           WordFrequencies(c, Nil, 0L)))
     val correlations = Correlation.matrixFromAggregates(corrCols, aggs, coefficients, cfg)

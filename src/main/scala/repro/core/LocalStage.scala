@@ -57,20 +57,17 @@ object LocalStage {
   }
 
   /** Tukey box plot from the quantile grid; whiskers clamp the 1.5·IQR
-    * fences to the observed min/max; `outliers` counted by the distributed
-    * outlier pass.
+    * fences to the observed min/max; `outliers` counted by the histogram job.
     */
   def boxPlot(stats: NumericStats, outliers: Long): BoxPlot = {
-    val iqr = stats.iqr
-    val lowerFence = stats.q1 - 1.5 * iqr
-    val upperFence = stats.q3 + 1.5 * iqr
+    val (lowerFence, upperFence) = fences(stats)
     BoxPlot(stats.name, stats.min, stats.q1, stats.median, stats.q3, stats.max,
       lowerWhisker = math.max(stats.min, lowerFence),
       upperWhisker = math.min(stats.max, upperFence),
       outliers = outliers)
   }
 
-  /** Tukey fences (lo, hi) for the distributed outlier count pass. */
+  /** Tukey fences (lo, hi); the histogram job counts the values beyond them. */
   def fences(stats: NumericStats): (Double, Double) =
     (stats.q1 - 1.5 * stats.iqr, stats.q3 + 1.5 * stats.iqr)
 

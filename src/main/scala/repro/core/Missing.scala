@@ -14,8 +14,8 @@ import repro.stats.LocalStats.PairMoments
   * dendrogram share the nullity sums those pattern counts give.
   *
   * Impact (col1): the distribution of every other column before vs. after
-  * dropping the rows where col1 is missing — ALL columns in one pass per
-  * column kind, split by a keep-flag.
+  * dropping the rows where col1 is missing — ALL columns in one histogram
+  * job and one frequency job, each counting the kept rows beside all rows.
   *
   * Pair (col1, col2): histogram, PDF, CDF, and box plot of col2 before vs.
   * after dropping col1-missing rows.
@@ -96,18 +96,14 @@ object Missing {
     require(df.columns.contains(col1), s"column '$col1' not found")
     val numCols = TypeDetector.numericColumns(df).filterNot(_ == col1)
     val catCols = TypeDetector.categoricalColumns(df).filterNot(_ == col1)
-    val aggs = SparkStage.columnAggregates(df, numCols, catCols, withDuplicates = false)
+    val aggs = SparkStage.columnAggregates(df, numCols, Nil, withDuplicates = false)
     val keep = !SparkStage.isMissing(df, col1)
 
-    val withData = numCols.map(aggs.numeric).filter(_.count > 0)
-    val hists = SparkStage.impactHistograms(df, withData.map(_.name),
-      withData.map(_.min), withData.map(_.max), cfg.int("hist.bins"), keep)
-
-    val freqsRaw = SparkStage.impactFrequencies(df, catCols,
-      cfg.int("freq.maxdistinct"), keep)
+    val hists = SparkStage.histograms(df, numCols.map(aggs.numeric).filter(_.count > 0),
+      cfg.int("hist.bins"), keep).map { case (c, b) => c -> b.impact }
     val topK = cfg.int("bar.topk")
-    val freqs = catCols.map(c =>
-      c -> ImpactFrequencies(c, freqsRaw.getOrElse(c, Nil).take(topK))).toMap
+    val freqs = SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct"), keep)
+      .map { case (c, vs) => c -> ImpactFrequencies(c, vs.take(topK)) }
 
     val (rowsTotal, rowsKept) = rowCounts(df, keep)
     val insights = hists.values.toSeq.sortBy(_.column).flatMap(Insights.missingImpact(col1, _, cfg))
@@ -132,8 +128,7 @@ object Missing {
       case ColumnType.Numerical =>
         val aggs = SparkStage.columnAggregates(df, Seq(col2), Nil, withDuplicates = false)
         val s = aggs.numeric(col2)
-        val hist = SparkStage.impactHistograms(df, Seq(col2), Seq(s.min), Seq(s.max),
-          cfg.int("hist.bins"), keep).get(col2)
+        val hist = SparkStage.histograms(df, Seq(s), cfg.int("hist.bins"), keep).get(col2).map(_.impact)
         val (pdfB, cdfB) = hist.map(h => LocalStage.pdfCdf(h.before)).getOrElse((Array.empty[Double], Array.empty[Double]))
         val (pdfA, cdfA) = hist.map(h => LocalStage.pdfCdf(h.after)).getOrElse((Array.empty[Double], Array.empty[Double]))
 
@@ -150,8 +145,7 @@ object Missing {
           boxes, None, hist.toSeq.flatMap(Insights.missingImpact(col1, _, cfg)))
 
       case ColumnType.Categorical =>
-        val freq = SparkStage.impactFrequencies(df, Seq(col2),
-          cfg.int("freq.maxdistinct"), keep).get(col2)
+        val freq = SparkStage.frequencies(df, Seq(col2), cfg.int("freq.maxdistinct"), keep).get(col2)
           .map(v => ImpactFrequencies(col2, v.take(cfg.int("bar.topk"))))
         MissingPairIntermediates(col1, col2, rowsTotal, rowsKept,
           None, Array.empty, Array.empty, Array.empty, Array.empty, None, freq, Nil)

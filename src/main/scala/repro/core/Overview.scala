@@ -6,9 +6,9 @@ import repro.core.Intermediates._
 /** Overview task — plot(df): dataset statistics plus a histogram per
   * numerical column and a bar chart per categorical column (Figure 2, row 1).
   *
-  * Pipeline: pass 1 = one wide agg over every column (the precompute stage);
-  * pass 2 = one job for ALL histograms + one job for ALL bar charts. Three
-  * Spark actions total, independent of the number of columns.
+  * Pipeline: pass 1 over every column (the precompute stage, five jobs),
+  * then one job for ALL histograms and one for ALL bar charts. Seven Spark
+  * actions total, independent of the number of columns.
   */
 object Overview {
 
@@ -26,7 +26,8 @@ object Overview {
 
     val aggs = SparkStage.columnAggregates(df, numCols, catCols)
     fromAggregates(cfg, numCols, catCols, aggs,
-      SparkStage.histogramsOf(df, numCols.map(aggs.numeric), cfg.int("hist.bins")),
+      SparkStage.histograms(df, numCols.map(aggs.numeric).filter(_.count > 0), cfg.int("hist.bins"))
+        .map { case (c, b) => c -> b.histogram },
       SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
   }
 

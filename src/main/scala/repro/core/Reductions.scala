@@ -5,22 +5,25 @@ import repro.core.Intermediates._
 
 /** The reductions the profile report is assembled from, one method per
   * kind; each returns the raw result. `SparkStage` fuses each kind over
-  * every column into O(1) Spark actions; the eager `ProfilingBaseline`
-  * runs one action per statistic, column or pair. Both feed the one
-  * assembly, `Eda.computeReportIntermediates(df, cfg, r)`, so they differ
-  * only in how the reductions execute.
+  * every column or pair into O(1) Spark actions; the eager
+  * `ProfilingBaseline` runs one action per statistic, column or pair. Both
+  * feed the one assembly, `Eda.computeReportIntermediates(df, cfg, r)`, so
+  * they differ only in how the reductions execute.
   */
 private[repro] trait Reductions {
 
   def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
                        withDuplicates: Boolean = true): SparkStage.TableAggregates
 
-  def histograms(df: DataFrame, cols: Seq[String], mins: Seq[Double], maxs: Seq[Double],
-                 bins: Int): Map[String, Histogram]
+  /** Histogram and outlier count of each listed column, binned and fenced
+    * from its pass-1 stats; every row is kept.
+    */
+  def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn]
 
   def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]]
 
-  def outlierCounts(df: DataFrame, fences: Seq[(String, Double, Double)]): Map[String, Long]
+  /** 2-D grid of each (x, y) pair over its complete rows, binned from the pair's stats. */
+  def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D]
 
   /** Coefficients keyed method → (column, column) pair, for every pair of `cols`. */
   def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
@@ -31,16 +34,4 @@ private[repro] trait Reductions {
     */
   def missing(df: DataFrame, cols: Seq[String],
               nBuckets: Int): (Long, Seq[Long], MissingSpectrum, (Int, Int) => Long)
-
-  /** Histograms of the columns that have data; a column with none has no histogram. */
-  final def histogramsOf(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, Histogram] = {
-    val withData = stats.filter(_.count > 0)
-    histograms(df, withData.map(_.name), withData.map(_.min), withData.map(_.max), bins)
-  }
-
-  /** Counts beyond the Tukey fences of every column that has data. */
-  final def outliersOf(df: DataFrame, stats: Seq[NumericStats]): Map[String, Long] =
-    outlierCounts(df, stats.filter(_.count > 0).map { s =>
-      val (lo, hi) = LocalStage.fences(s); (s.name, lo, hi)
-    })
 }

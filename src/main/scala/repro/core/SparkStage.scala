@@ -11,12 +11,13 @@ import repro.stats.LocalStats.PairMoments
 /** The distributed stage of the Compute module (Section 5.2's "Dask
   * computation"), expressed as Spark DataFrame plans.
   *
-  * Design rule, mirroring the paper's single-graph optimization: each public
-  * method issues exactly ONE Spark action, no matter how many columns are
-  * involved. Multi-column work is fused either into one wide `agg` (hundreds
-  * of aggregate expressions, which Catalyst evaluates in a single pass) or
-  * into one `posexplode → groupBy(columnIndex, …)` job. Values the plan
-  * needs as literals (bin widths, rank denominators) come from a prior
+  * Design rule, mirroring the paper's single-graph optimization: one
+  * reduction per kind, each running O(1) Spark actions however many
+  * columns or pairs it covers — one action for most, five for
+  * `columnAggregates` and two for `missingPatterns`. Multi-column work is
+  * fused into `posexplode → groupBy(columnIndex, …)` jobs, so the
+  * aggregate-expression set stays constant-size whatever the width. Values
+  * the plan needs as literals (bin widths, Tukey fences) come from a prior
   * `columnAggregates` pass — the analog of the paper's eager chunk-size
   * precompute stage.
   *
@@ -174,10 +175,8 @@ object SparkStage extends Reductions {
   private[repro] def binOf(x: Column, lo: Column, width: Column, bins: Int): Column =
     least(lit(bins - 1), greatest(lit(0), floor((x - lo) / width))).cast("int")
 
-  /** Per-column bin of the exploded `value` at `pos`. */
-  private def binExpr(mins: Seq[Double], widths: Seq[Double], bins: Int): Column =
-    binOf(col("value"), element_at(array(mins.map(lit(_)): _*), col("pos") + 1),
-      element_at(array(widths.map(lit(_)): _*), col("pos") + 1), bins)
+  /** The literal of the exploded column at `pos`, one per column. */
+  private def atPos(xs: Seq[Double]): Column = element_at(array(xs.map(lit(_)): _*), col("pos") + 1)
 
   /** Bin width of [lo, hi] in `bins` bins; 1.0 when the range is empty,
     * undefined or overflows a double.
@@ -197,47 +196,41 @@ object SparkStage extends Reductions {
     counts
   }
 
-  /** Histograms of every listed numeric column, one Spark action.
-    * `mins`/`maxs` come from `columnAggregates` (the precompute stage).
+  /** A numeric column's histogram, its bin counts over the rows a keep-flag
+    * holds for, and its count of values beyond the Tukey fences.
     */
-  def histograms(df: DataFrame, cols: Seq[String], mins: Seq[Double],
-                 maxs: Seq[Double], bins: Int): Map[String, Histogram] = {
-    if (cols.isEmpty) return Map.empty
-    val widths = mins.zip(maxs).map { case (lo, hi) => widthOf(lo, hi, bins) }
-    val arr = array(cols.map(cleanNum): _*)
-    val byPos = df.select(posexplode(arr).as(Seq("pos", "value")))
-      .where(col("value").isNotNull)
-      .groupBy(col("pos"), binExpr(mins, widths, bins).as("bin"))
-      .count()
-      .collect()
-      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2)))
-    cols.zipWithIndex.map { case (c, p) =>
-      c -> Histogram(c, edgesOf(mins(p), widths(p), bins), countsOf(bins, byPos.getOrElse(p, Nil)))
-    }.toMap
+  final case class BinnedColumn(histogram: Histogram, kept: Array[Long], outliers: Long) {
+    /** Before (every row) vs. after (the kept rows), for plot_missing. */
+    def impact: ImpactHistogram = ImpactHistogram(histogram.column, histogram.edges, histogram.counts, kept)
   }
 
-  /** Histograms of every listed column split by a boolean keep-flag, in one
-    * action — feeds plot_missing(df, col1): before = keep + dropped rows,
-    * after = keep only. Binning is fixed from the full data so the before
-    * and after distributions are comparable.
+  def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, BinnedColumn] =
+    histograms(df, stats, bins, lit(true))
+
+  /** Histogram, rows kept and outlier count of every listed numeric column,
+    * one `posexplode → groupBy(pos, bin)` action. Bins and Tukey fences come
+    * from each column's pass-1 stats (the precompute stage); binning is the
+    * same for kept and dropped rows, so the two distributions compare.
     */
-  def impactHistograms(df: DataFrame, cols: Seq[String], mins: Seq[Double],
-                       maxs: Seq[Double], bins: Int,
-                       keep: Column): Map[String, ImpactHistogram] = {
-    if (cols.isEmpty) return Map.empty
-    val widths = mins.zip(maxs).map { case (lo, hi) => widthOf(lo, hi, bins) }
-    val arr = array(cols.map(cleanNum): _*)
-    val byPos = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
-      .where(col("value").isNotNull)
-      .groupBy(col("pos"), binExpr(mins, widths, bins).as("bin"), col("keep"))
-      .count()
+  def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int,
+                 keep: Column): Map[String, BinnedColumn] = {
+    if (stats.isEmpty) return Map.empty
+    val widths = stats.map(s => widthOf(s.min, s.max, bins))
+    val fences = stats.map(LocalStage.fences)
+    val value = col("value")
+    val byPos = df.select(posexplode(array(stats.map(s => cleanNum(s.name)): _*)).as(Seq("pos", "value")),
+        keep.as("keep"))
+      .where(value.isNotNull)
+      .groupBy(col("pos"), binOf(value, atPos(stats.map(_.min)), atPos(widths), bins).as("bin"))
+      .agg(count(lit(1)), count(when(col("keep"), 1)),
+        count(when(value < atPos(fences.map(_._1)) || value > atPos(fences.map(_._2)), 1)))
       .collect()
-      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getBoolean(2), r.getLong(3)))
-    cols.zipWithIndex.map { case (c, p) =>
+      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2), r.getLong(3), r.getLong(4)))
+    stats.zipWithIndex.map { case (s, p) =>
       val cells = byPos.getOrElse(p, Nil)
-      c -> ImpactHistogram(c, edgesOf(mins(p), widths(p), bins),
-        countsOf(bins, cells.map { case (b, _, n) => (b, n) }),
-        countsOf(bins, cells.collect { case (b, true, n) => (b, n) }))
+      s.name -> BinnedColumn(
+        Histogram(s.name, edgesOf(s.min, widths(p), bins), countsOf(bins, cells.map(c => (c._1, c._2)))),
+        countsOf(bins, cells.map(c => (c._1, c._3))), cells.map(_._4).sum)
     }.toMap
   }
 
@@ -245,50 +238,30 @@ object SparkStage extends Reductions {
   // Frequencies: ALL categorical columns in one job.
   // ---------------------------------------------------------------------
 
-  /** Value counts of every listed categorical column in one action, capped
-    * at `maxDistinct` values per column (most frequent first).
-    */
   def frequencies(df: DataFrame, cols: Seq[String],
-                  maxDistinct: Int): Map[String, Seq[(String, Long)]] = {
+                  maxDistinct: Int): Map[String, Seq[(String, Long)]] =
+    frequencies(df, cols, maxDistinct, lit(true)).map { case (c, vs) => c -> vs.map(v => (v._1, v._2)) }
+
+  /** (value, count, count where `keep` holds) of every listed categorical
+    * column in one action, capped at `maxDistinct` values per column (most
+    * frequent first).
+    */
+  def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int,
+                  keep: Column): Map[String, Seq[(String, Long, Long)]] = {
     if (cols.isEmpty) return Map.empty
     val arr = array(cols.map(c => colRef(c).cast(StringType)): _*)
-    val counted = df.select(posexplode(arr).as(Seq("pos", "value")))
+    val counted = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
       .where(col("value").isNotNull)
       .groupBy(col("pos"), col("value"))
-      .count()
+      .agg(count(lit(1)).as("count"), count(when(col("keep"), 1)))
     val w = Window.partitionBy(col("pos")).orderBy(col("count").desc, col("value"))
     val rows = counted
       .withColumn("rn", row_number().over(w))
       .where(col("rn") <= maxDistinct)
       .collect()
-    val byPos = rows.map(r => (r.getInt(0), r.getString(1), r.getLong(2))).toSeq.groupBy(_._1)
+    val byPos = rows.map(r => (r.getInt(0), r.getString(1), r.getLong(2), r.getLong(3))).toSeq.groupBy(_._1)
     cols.zipWithIndex.map { case (c, p) =>
-      c -> byPos.getOrElse(p, Nil).sortBy(t => (-t._3, t._2)).map(t => (t._2, t._3))
-    }.toMap
-  }
-
-  /** Value counts split by a keep-flag (plot_missing impact on categorical
-    * columns), one action. Returns (value, before, after) per column.
-    */
-  def impactFrequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int,
-                        keep: Column): Map[String, Seq[(String, Long, Long)]] = {
-    if (cols.isEmpty) return Map.empty
-    val arr = array(cols.map(c => colRef(c).cast(StringType)): _*)
-    val rows = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
-      .where(col("value").isNotNull)
-      .groupBy(col("pos"), col("value"), col("keep"))
-      .count()
-      .collect()
-      .map(r => (r.getInt(0), r.getString(1), r.getBoolean(2), r.getLong(3)))
-      .toSeq
-    val byPos = rows.groupBy(_._1)
-    cols.zipWithIndex.map { case (c, p) =>
-      val byValue = byPos.getOrElse(p, Nil).groupBy(_._2).map { case (v, grp) =>
-        val before = grp.map(_._4).sum
-        val after = grp.filter(_._3).map(_._4).sum
-        (v, before, after)
-      }
-      c -> byValue.toSeq.sortBy(t => (-t._2, t._1)).take(maxDistinct)
+      c -> byPos.getOrElse(p, Nil).sortBy(t => (-t._3, t._2)).map(t => (t._2, t._3, t._4))
     }.toMap
   }
 
@@ -459,20 +432,30 @@ object SparkStage extends Reductions {
   // Bivariate reductions.
   // ---------------------------------------------------------------------
 
-  /** 2-D density grid of two numeric columns (hexbin substitute), one action. */
-  def grid2d(df: DataFrame, x: String, y: String,
-             xMin: Double, xMax: Double, yMin: Double, yMax: Double,
-             xBins: Int, yBins: Int): Grid2D = {
-    val xw = widthOf(xMin, xMax, xBins)
-    val yw = widthOf(yMin, yMax, yBins)
-    val xc = cleanNum(x); val yc = cleanNum(y)
-    val byX = df.where(xc.isNotNull && yc.isNotNull)
-      .groupBy(binOf(xc, lit(xMin), lit(xw), xBins).as("xb"),
-        binOf(yc, lit(yMin), lit(yw), yBins).as("yb"))
+  /** 2-D density grid (hexbin substitute) of every (x, y) pair over the
+    * pair's complete rows, one `posexplode(pair bins) → groupBy(pos, xb, yb)`
+    * action. Bins come from each column's pass-1 min and max.
+    */
+  def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)],
+            xBins: Int, yBins: Int): Seq[Grid2D] = {
+    if (pairs.isEmpty) return Nil
+    val widths = pairs.map { case (a, b) => (widthOf(a.min, a.max, xBins), widthOf(b.min, b.max, yBins)) }
+    val cells = pairs.zip(widths).map { case ((a, b), (xw, yw)) =>
+      val x = cleanNum(a.name); val y = cleanNum(b.name)
+      // null unless both are present: binOf alone would put a null in bin 0
+      when(x.isNotNull && y.isNotNull, struct(binOf(x, lit(a.min), lit(xw), xBins).as("xb"),
+        binOf(y, lit(b.min), lit(yw), yBins).as("yb")))
+    }
+    val byPos = df.select(posexplode(array(cells: _*)).as(Seq("pos", "cell")))
+      .where(col("cell").isNotNull)
+      .groupBy(col("pos"), col("cell.xb"), col("cell.yb"))
       .count().collect()
-      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2)))
-    Grid2D(x, y, edgesOf(xMin, xw, xBins), edgesOf(yMin, yw, yBins),
-      Array.tabulate(xBins)(i => countsOf(yBins, byX.getOrElse(i, Nil))))
+      .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getInt(2), r.getLong(3)))
+    pairs.zip(widths).zipWithIndex.map { case (((a, b), (xw, yw)), p) =>
+      val byX = byPos.getOrElse(p, Nil).groupMap(_._1)(c => (c._2, c._3))
+      Grid2D(a.name, b.name, edgesOf(a.min, xw, xBins), edgesOf(b.min, yw, yBins),
+        Array.tabulate(xBins)(i => countsOf(yBins, byX.getOrElse(i, Nil))))
+    }
   }
 
   /** Quantiles + count of `y` within each `x` bin (binned box plot), one
@@ -537,20 +520,6 @@ object SparkStage extends Reductions {
       .limit(maxCells)
       .collect()
       .map(r => (r.getString(0), r.getString(1), r.getLong(2))).toSeq
-  }
-
-  /** Count of values beyond the given Tukey fences, every column in one
-    * action. Fences come from the precompute-stage quantiles.
-    */
-  def outlierCounts(df: DataFrame,
-                    fences: Seq[(String, Double, Double)]): Map[String, Long] = {
-    if (fences.isEmpty) return Map.empty
-    val exprs = fences.map { case (c, lo, hi) =>
-      val x = cleanNum(c)
-      count(when(x < lo || x > hi, 1))
-    }
-    val row = df.agg(exprs.head, exprs.tail: _*).head()
-    fences.zipWithIndex.map { case ((c, _, _), i) => c -> getLong(row, i) }.toMap
   }
 
   /** Up to `n` (x, y) points for a scatter plot, one action. */

@@ -40,17 +40,16 @@ object Univariate {
 
   def numeric(df: DataFrame, column: String, cfg: EdaConfig): NumericUnivariate = {
     val s = SparkStage.columnAggregates(df, Seq(column), Nil, withDuplicates = false).numeric(column)
-    fromStats(s, cfg, SparkStage.histogramsOf(df, Seq(s), cfg.int("hist.bins")),
-      SparkStage.outliersOf(df, Seq(s)))
+    fromStats(s, cfg, SparkStage.histograms(df, Seq(s).filter(_.count > 0), cfg.int("hist.bins")))
   }
 
-  /** Numeric univariate from pass-1 stats, the histograms and the outlier
-    * counts; a column with no data gets an empty histogram and no outliers.
+  /** Numeric univariate from pass-1 stats and the histograms with their
+    * outlier counts; a column with no data gets an empty histogram and no
+    * outliers.
     */
-  def fromStats(s: NumericStats, cfg: EdaConfig, hists: Map[String, Histogram],
-                outlierCounts: Map[String, Long]): NumericUnivariate = {
-    val hist = hists.getOrElse(s.name, Histogram(s.name, Array(0.0, 1.0), Array(0L)))
-    val outliers = outlierCounts.getOrElse(s.name, 0L)
+  def fromStats(s: NumericStats, cfg: EdaConfig, binned: Map[String, SparkStage.BinnedColumn]): NumericUnivariate = {
+    val hist = binned.get(s.name).fold(Histogram(s.name, Array(0.0, 1.0), Array(0L)))(_.histogram)
+    val outliers = binned.get(s.name).fold(0L)(_.outliers)
     val kde = LocalStage.kdeCurve(s, hist, cfg.int("hist.gridpoints"))
     val qq = LocalStage.qqPlot(s, cfg.int("qq.points"))
     val box = LocalStage.boxPlot(s, outliers)

@@ -54,12 +54,12 @@ class ConcurrencySpec extends SparkSpec {
     def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
                          withDuplicates: Boolean): SparkStage.TableAggregates =
       SparkStage.columnAggregates(df, numCols, catCols, withDuplicates)
-    def histograms(df: DataFrame, cols: Seq[String], mins: Seq[Double], maxs: Seq[Double],
-                   bins: Int): Map[String, Histogram] = SparkStage.histograms(df, cols, mins, maxs, bins)
+    def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn] =
+      SparkStage.histograms(df, stats, bins)
     def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =
       throw error
-    def outlierCounts(df: DataFrame, fences: Seq[(String, Double, Double)]): Map[String, Long] =
-      SparkStage.outlierCounts(df, fences)
+    def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D] =
+      SparkStage.grids(df, pairs, xBins, yBins)
     def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
                      maxRows: Long): Map[String, Map[(String, String), Double]] =
       SparkStage.correlations(df, cols, rows, methods, maxRows)
@@ -100,7 +100,7 @@ class ConcurrencySpec extends SparkSpec {
     sc.setJobGroup("eda-report", "a labelled report")
     try { Eda.createReport(df); ListenerBusDrain(sc) }
     finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
-    assert(groups.size == 16)
+    assert(groups.size == 11)
     assert(groups.asScala.toSet == Set("eda-report"))
   }
 }

@@ -41,8 +41,8 @@ class JobCountSpec extends SparkSpec {
   }
 
   test("createReport runs as many Spark jobs on a wide table as on a narrow one") {
-    assert(jobsOf(Eda.createReport(narrow)) == 16)
-    assert(jobsOf(Eda.createReport(wide)) == 16)
+    assert(jobsOf(Eda.createReport(narrow)) == 11)
+    assert(jobsOf(Eda.createReport(wide)) == 11)
   }
 
   /** Spark jobs of each fine-grained task: a shared reduction that is
@@ -50,7 +50,7 @@ class JobCountSpec extends SparkSpec {
     */
   private val taskJobs: Seq[(String, DataFrame => Any, Long)] = Seq(
     ("plot(df)", Eda.plot(_), 7),
-    ("plot(df, num_0)", Eda.plot(_, "num_0"), 5),
+    ("plot(df, num_0)", Eda.plot(_, "num_0"), 4),
     ("plot(df, cat_0)", Eda.plot(_, "cat_0"), 4),
     ("plot(df, num_0, num_1)", Eda.plot(_, "num_0", "num_1"), 8),
     ("plot(df, cat_0, num_1)", Eda.plot(_, "cat_0", "num_1"), 5),
@@ -58,7 +58,9 @@ class JobCountSpec extends SparkSpec {
     ("plotCorrelation(df)", Eda.plotCorrelation(_), 4),
     ("plotCorrelation(df, num_0)", Eda.plotCorrelation(_, "num_0"), 4),
     ("plotCorrelation(df, num_0, num_1)", Eda.plotCorrelation(_, "num_0", "num_1"), 4),
-    ("plotMissing(df, num_0)", Eda.plotMissing(_, "num_0"), 7),
+    ("plotMissing(df, num_0)", Eda.plotMissing(_, "num_0"), 6),
+    ("plotMissing(df, cat_0)", Eda.plotMissing(_, "cat_0"), 6),
+    ("plotMissing(df, num_0, num_1)", Eda.plotMissing(_, "num_0", "num_1"), 6),
     ("plotMissing(df, num_0, cat_2)", Eda.plotMissing(_, "num_0", "cat_2"), 2),
   )
 

@@ -101,6 +101,24 @@ class MissingSpec extends SparkSpec with TestHelpers {
     Oracle.assertEquivalent(got, "SELECT count(s) AS n FROM t", "t" -> df)
   }
 
+  test("impact: per-bin and per-value before/after counts match DuckDB") {
+    val bins = cfg.int("hist.bins")
+    assert(impact.histograms.keySet == Set("b", "c"))
+    impact.histograms.foreach { case (c, h) =>
+      val got = h.before.indices.collect { case i if h.before(i) > 0 => (i, h.before(i), h.after(i)) }
+        .toDF("bin", "n_before", "n_after")
+      Oracle.assertEquivalent(got,
+        s"WITH r AS (SELECT min(CAST($c AS DOUBLE)) AS lo, " +
+        s"(max(CAST($c AS DOUBLE)) - min(CAST($c AS DOUBLE))) / $bins AS w FROM t) " +
+        s"SELECT LEAST(${bins - 1}, GREATEST(0, CAST(FLOOR((CAST($c AS DOUBLE) - r.lo) / r.w) AS INT))) AS bin, " +
+        "count(*) AS n_before, count(*) FILTER (WHERE a IS NOT NULL) AS n_after " +
+        s"FROM t, r WHERE $c IS NOT NULL GROUP BY 1", "t" -> df)
+    }
+    Oracle.assertEquivalent(impact.frequencies("s").values.toDF("v", "n_before", "n_after"),
+      "SELECT s AS v, count(*) AS n_before, count(*) FILTER (WHERE a IS NOT NULL) AS n_after " +
+      "FROM t WHERE s IS NOT NULL GROUP BY s", "t" -> df)
+  }
+
   test("impact: missing-impact insight fires when distribution shifts") {
     // c over even rows only (kept = odd rows) shifts within bins: parity alternates
     // within bins, so L1 is small; build a column whose distribution truly shifts

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestHelpers}
+import repro.core.Intermediates.NumericStats
 import repro.stats.{LocalStats, References}
 
 /** Distributed-stage reductions, oracle-checked against DuckDB. */
@@ -22,6 +23,12 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   private lazy val aggs = SparkStage.columnAggregates(df, Seq("x"), Seq("s"))
   private lazy val xs = aggs.numeric("x")
   private lazy val ss = aggs.categorical("s")
+
+  /** Pass-1 stats of numeric columns of `d`, the literals of the binned reductions. */
+  private def statsOf(d: DataFrame, cols: String*): Seq[NumericStats] = {
+    val a = SparkStage.columnAggregates(d, cols, Nil, withDuplicates = false)
+    cols.map(a.numeric)
+  }
 
   test("columnAggregates: count and missing match DuckDB") {
     val got = Seq((xs.count, xs.missing)).toDF("cnt", "mis")
@@ -125,7 +132,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("histograms: bin counts match DuckDB") {
     val bins = 5
-    val h = SparkStage.histograms(df, Seq("x"), Seq(xs.min), Seq(xs.max), bins)("x")
+    val h = SparkStage.histograms(df, Seq(xs), bins)("x").histogram
     val width = (xs.max - xs.min) / bins
     val got = h.counts.zipWithIndex.collect { case (c, b) if c > 0 => (b, c) }
       .toSeq.toDF("bin", "cnt")
@@ -135,7 +142,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   }
 
   test("histograms: total equals non-null count and edges span min/max") {
-    val h = SparkStage.histograms(df, Seq("x"), Seq(xs.min), Seq(xs.max), 7)("x")
+    val h = SparkStage.histograms(df, Seq(xs), 7)("x").histogram
     assert(h.total == xs.count)
     assert(h.edges.head == xs.min)
     assertApprox(h.edges.last, xs.max, 1e-9, "last edge")
@@ -144,14 +151,14 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("histograms: several columns in one call") {
     val two = Seq((1.0, 10.0), (2.0, 20.0), (3.0, 30.0)).toDF("a", "b")
-    val hs = SparkStage.histograms(two, Seq("a", "b"), Seq(1.0, 10.0), Seq(3.0, 30.0), 2)
-    assert(hs("a").counts.toSeq == Seq(1L, 2L)) // [1,2): {1}, [2,3]: {2,3}
-    assert(hs("b").counts.toSeq == Seq(1L, 2L))
+    val hs = SparkStage.histograms(two, statsOf(two, "a", "b"), 2)
+    assert(hs("a").histogram.counts.toSeq == Seq(1L, 2L)) // [1,2): {1}, [2,3]: {2,3}
+    assert(hs("b").histogram.counts.toSeq == Seq(1L, 2L))
   }
 
   test("histograms: constant column lands in bin 0") {
     val const = Seq(5.0, 5.0, 5.0).toDF("x")
-    val h = SparkStage.histograms(const, Seq("x"), Seq(5.0), Seq(5.0), 4)("x")
+    val h = SparkStage.histograms(const, statsOf(const, "x"), 4)("x").histogram
     assert(h.counts.toSeq == Seq(3L, 0L, 0L, 0L))
   }
 
@@ -161,7 +168,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
       (Option(3.0), Option(30.0)), (Option(4.0), None),
     ).toDF("v", "flag")
     val keep = org.apache.spark.sql.functions.col("flag").isNotNull
-    val h = SparkStage.impactHistograms(d2, Seq("v"), Seq(1.0), Seq(4.0), 3, keep)("v")
+    val h = SparkStage.histograms(d2, statsOf(d2, "v"), 3, keep)("v").impact
     assert(h.before.sum == 4 && h.after.sum == 2)
     assert(h.before.zip(h.after).forall { case (b, a) => b >= a })
   }
@@ -194,7 +201,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
       (Option("b"), Option(2.0)),
     ).toDF("c", "flag")
     val keep = org.apache.spark.sql.functions.col("flag").isNotNull
-    val f = SparkStage.impactFrequencies(d2, Seq("c"), 10, keep)("c")
+    val f = SparkStage.frequencies(d2, Seq("c"), 10, keep)("c")
     assert(f.toSet == Set(("a", 2L, 1L), ("b", 1L, 1L)))
   }
 
@@ -289,14 +296,16 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   test("grid2d: total count equals pairwise-complete rows") {
     val d2 = Seq((Option(1.0), Option(1.0)), (Option(2.0), None),
       (Option(3.0), Option(2.0))).toDF("x", "y")
-    val g = SparkStage.grid2d(d2, "x", "y", 1, 3, 1, 2, 4, 4)
+    val Seq(xs2, ys2) = statsOf(d2, "x", "y")
+    val Seq(g) = SparkStage.grids(d2, Seq((xs2, ys2)), 4, 4)
     assert(g.counts.map(_.sum).sum == 2)
     assert(g.xEdges.length == 5 && g.yEdges.length == 5)
   }
 
   test("grid2d: counts match DuckDB cross-binning") {
     val d2 = (1 to 50).map(i => (i.toDouble, (i * 7 % 13).toDouble)).toDF("x", "y")
-    val g = SparkStage.grid2d(d2, "x", "y", 1, 50, 0, 12, 5, 5)
+    val Seq(xs2, ys2) = statsOf(d2, "x", "y")
+    val Seq(g) = SparkStage.grids(d2, Seq((xs2, ys2)), 5, 5)
     val got = (for (i <- 0 until 5; j <- 0 until 5 if g.counts(i)(j) > 0)
       yield (i, j, g.counts(i)(j))).toDF("xb", "yb", "cnt")
     val xw = (50.0 - 1.0) / 5; val yw = 12.0 / 5
@@ -304,6 +313,30 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
       s"SELECT LEAST(4, GREATEST(0, CAST(FLOOR((CAST(x AS DOUBLE) - 1.0) / $xw) AS INT))) AS xb, " +
       s"LEAST(4, GREATEST(0, CAST(FLOOR((CAST(y AS DOUBLE) - 0.0) / $yw) AS INT))) AS yb, " +
       "count(*) AS cnt FROM t GROUP BY 1, 2", "t" -> d2)
+  }
+
+  test("grids: three pairs sharing a column each count only their own complete rows (DuckDB)") {
+    val d3 = (0 until 60).map { i =>
+      (if (i % 3 == 0) None else Option(i.toDouble),
+       if (i % 4 == 1) None else Option((i * 7 % 11).toDouble),
+       if (i % 5 == 2) None else Option((i % 9 - 4).toDouble))
+    }.toDF("x", "y", "z")
+    val stats = statsOf(d3, "x", "y", "z").map(s => s.name -> s).toMap
+    val pairs = Seq(("x", "y"), ("x", "z"), ("y", "z"))
+    val grids = SparkStage.grids(d3, pairs.map { case (a, b) => (stats(a), stats(b)) }, 4, 3)
+    assert(grids.map(g => (g.xColumn, g.yColumn)) == pairs)
+    pairs.zip(grids).foreach { case ((a, b), g) =>
+      val got = (for (i <- 0 until 4; j <- 0 until 3 if g.counts(i)(j) > 0)
+        yield (i, j, g.counts(i)(j))).toDF("xb", "yb", "cnt")
+      // bins from the column's min and max over all rows, as in pass 1
+      def bin(c: String, n: Int): String = {
+        val (lo, hi) = (s"(SELECT min(CAST($c AS DOUBLE)) FROM t)", s"(SELECT max(CAST($c AS DOUBLE)) FROM t)")
+        s"LEAST(${n - 1}, GREATEST(0, CAST(FLOOR((CAST($c AS DOUBLE) - $lo) / (($hi - $lo) / $n)) AS INT)))"
+      }
+      Oracle.assertEquivalent(got,
+        s"SELECT ${bin(a, 4)} AS xb, ${bin(b, 3)} AS yb, count(*) AS cnt FROM t " +
+        s"WHERE $a IS NOT NULL AND $b IS NOT NULL GROUP BY 1, 2", "t" -> d3)
+    }
   }
 
   test("binnedQuantiles: per-bin counts sum to pairwise-complete rows") {
@@ -343,7 +376,9 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("outlierCounts: counts beyond fences match DuckDB") {
     val d = Seq(1.0, 2.0, 3.0, 100.0, -50.0).toDF("x")
-    val n = SparkStage.outlierCounts(d, Seq(("x", 0.0, 10.0)))("x")
+    // quartiles 3.75 and 6.25 put the Tukey fences at 0 and 10
+    val fenced = statsOf(d, "x").map(_.copy(percentiles = Array.tabulate(101)(i => if (i < 50) 3.75 else 6.25)))
+    val n = SparkStage.histograms(d, fenced, 4)("x").outliers
     val got = Seq(Tuple1(n)).toDF("n")
     Oracle.assertEquivalent(got,
       "SELECT count(*) FILTER (WHERE CAST(x AS DOUBLE) < 0.0 OR CAST(x AS DOUBLE) > 10.0) AS n FROM t",

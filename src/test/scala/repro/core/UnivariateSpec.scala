@@ -65,7 +65,7 @@ class UnivariateSpec extends SparkSpec with TestHelpers {
 
   test("numeric: shared histogram/outliers avoid recomputation") {
     val hist = Intermediates.Histogram("v", Array(0.0, 1.0), Array(7L))
-    val u = Univariate.fromStats(numeric.stats, cfg, Map("v" -> hist), Map("v" -> 42L))
+    val u = Univariate.fromStats(numeric.stats, cfg, Map("v" -> SparkStage.BinnedColumn(hist, Array(7L), 42L)))
     assert(u.histogram eq hist)
     assert(u.box.outliers == 42L)
   }
