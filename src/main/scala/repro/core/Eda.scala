@@ -78,12 +78,12 @@ object Eda {
       correlations: Correlation.CorrelationIntermediates,
       missing: Missing.MissingOverviewIntermediates)
 
-  /** The fused report pipeline (the DataPrep.EDA column of Table 2): 11
+  /** The fused report pipeline (the DataPrep.EDA column of Table 2): 10
     * Spark actions regardless of column count, in two waves of concurrent
     * jobs —
     *
     *  1. wave 1, the reductions that need nothing computed first: the fused
-    *     per-column aggregates over every column (precompute stage, five
+    *     per-column aggregates over every column (precompute stage, four
     *     jobs; shared by the Overview section, every Variables section, and
     *     the correlation variance bookkeeping), one job for all frequency
     *     tables, and, for missing values, one row-count job and one

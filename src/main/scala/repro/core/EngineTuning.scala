@@ -14,22 +14,20 @@ import org.apache.spark.sql.SparkSession
   * measures execution *strategy* (fused vs. eager), not codegen luck.
   */
 object EngineTuning {
-  @volatile private var tuned = false
-
-  def tune(spark: SparkSession): Unit = if (!tuned) synchronized {
-    if (!tuned) {
-      // Whole-stage fusion generates one giant janino method per stage; the
-      // fused EDA plans blow the 64KB bytecode limit and waste seconds in
-      // failed compiles. Per-expression codegen (the default factory mode)
-      // stays on — the posexplode-shaped plans keep every tree small.
-      spark.conf.set("spark.sql.codegen.wholeStage", "false")
-      // AQE re-plans every tiny shuffle; pure latency at EDA scale.
-      spark.conf.set("spark.sql.adaptive.enabled", "false")
-      // 16 reduce tasks instead of 200/64: task-launch overhead dominates
-      // sub-second shuffles.
-      spark.conf.set("spark.sql.shuffle.partitions",
-        math.max(4, Runtime.getRuntime.availableProcessors()).toString)
-      tuned = true
-    }
+  /** Every call tunes its own session (`newSession()` starts from the
+    * defaults). Nothing is restored: concurrent calls would untune each other.
+    */
+  def tune(spark: SparkSession): Unit = {
+    // Whole-stage fusion generates one giant janino method per stage; the
+    // fused EDA plans blow the 64KB bytecode limit and waste seconds in
+    // failed compiles. Per-expression codegen (the default factory mode)
+    // stays on — the posexplode-shaped plans keep every tree small.
+    spark.conf.set("spark.sql.codegen.wholeStage", "false")
+    // AQE re-plans every tiny shuffle; pure latency at EDA scale.
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    // One reduce task per core (at least 4) instead of 200/64: task-launch
+    // overhead dominates sub-second shuffles.
+    spark.conf.set("spark.sql.shuffle.partitions",
+      math.max(4, Runtime.getRuntime.availableProcessors()).toString)
   }
 }

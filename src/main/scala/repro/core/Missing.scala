@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.Intermediates._
 import repro.stats.Dendrogram
@@ -15,10 +15,12 @@ import repro.stats.LocalStats.PairMoments
   *
   * Impact (col1): the distribution of every other column before vs. after
   * dropping the rows where col1 is missing — ALL columns in one histogram
-  * job and one frequency job, each counting the kept rows beside all rows.
+  * job and one frequency job, each counting the kept rows beside all rows;
+  * the numeric pass 1 (two jobs) supplies the bins and one agg counts the
+  * rows kept.
   *
-  * Pair (col1, col2): histogram, PDF, CDF, and box plot of col2 before vs.
-  * after dropping col1-missing rows.
+  * Pair (col1, col2): the same pipeline over col2 alone, plus its PDF, CDF
+  * and a five-number agg for the box plots before vs. after.
   */
 object Missing {
 
@@ -91,64 +93,55 @@ object Missing {
     MissingOverviewIntermediates(bar, spectrum, nullityCorr, dendrogram, insights)
   }
 
-  /** plot_missing(df, col1). */
+  /** plot_missing(df, col1): every other column before vs. after. */
   def impact(df: DataFrame, col1: String, cfg: EdaConfig): MissingImpactIntermediates = {
     require(df.columns.contains(col1), s"column '$col1' not found")
-    val numCols = TypeDetector.numericColumns(df).filterNot(_ == col1)
-    val catCols = TypeDetector.categoricalColumns(df).filterNot(_ == col1)
-    val aggs = SparkStage.columnAggregates(df, numCols, Nil, withDuplicates = false)
-    val keep = !SparkStage.isMissing(df, col1)
-
-    val hists = SparkStage.histograms(df, numCols.map(aggs.numeric).filter(_.count > 0),
-      cfg.int("hist.bins"), keep).map { case (c, b) => c -> b.impact }
-    val topK = cfg.int("bar.topk")
-    val freqs = SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct"), keep)
-      .map { case (c, vs) => c -> ImpactFrequencies(c, vs.take(topK)) }
-
-    val (rowsTotal, rowsKept) = rowCounts(df, keep)
-    val insights = hists.values.toSeq.sortBy(_.column).flatMap(Insights.missingImpact(col1, _, cfg))
-    MissingImpactIntermediates(col1, rowsTotal, rowsKept, hists, freqs, insights)
+    impactOf(df, col1, df.columns.toSeq.filterNot(_ == col1), cfg)
   }
 
-  /** All rows and the rows where `keep` holds, one action: pass 1 does not
-    * cover col1, so the rows kept need their own tiny agg.
+  /** `cols` over all rows vs. the rows where col1 is present. Pass 1 runs
+    * only to bin numeric columns; the rows kept need an agg of their own.
     */
-  private def rowCounts(df: DataFrame, keep: Column): (Long, Long) = {
-    val row = df.agg(count(lit(1)), count(when(keep, 1))).head()
-    (row.getLong(0), row.getLong(1))
+  private def impactOf(df: DataFrame, col1: String, cols: Seq[String],
+                       cfg: EdaConfig): MissingImpactIntermediates = {
+    val keep = !SparkStage.isMissing(df, col1)
+    val (numCols, catCols) = cols.partition(TypeDetector.typeOf(df, _) == ColumnType.Numerical)
+    val hists = if (numCols.isEmpty) Map.empty[String, ImpactHistogram] else {
+      val aggs = SparkStage.columnAggregates(df, numCols, Nil, withDuplicates = false)
+      SparkStage.histograms(df, numCols.map(aggs.numeric).filter(_.count > 0), cfg.int("hist.bins"), keep)
+        .map { case (c, b) => c -> b.impact }
+    }
+    val freqs = SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct"), keep)
+      .map { case (c, vs) => c -> ImpactFrequencies(c, vs.take(cfg.int("bar.topk"))) }
+    val rows = df.agg(count(lit(1)), count(when(keep, 1))).head()
+    val insights = hists.values.toSeq.sortBy(_.column).flatMap(Insights.missingImpact(col1, _, cfg))
+    MissingImpactIntermediates(col1, rows.getLong(0), rows.getLong(1), hists, freqs, insights)
   }
 
-  /** plot_missing(df, col1, col2). */
+  /** plot_missing(df, col1, col2): col2's impact and, when col2 is numeric
+    * with data, its PDF, CDF and box plots before vs. after.
+    */
   def pair(df: DataFrame, col1: String, col2: String, cfg: EdaConfig): MissingPairIntermediates = {
     require(df.columns.contains(col1), s"column '$col1' not found")
-    val keep = !SparkStage.isMissing(df, col1)
-    val (rowsTotal, rowsKept) = rowCounts(df, keep)
+    val impact = impactOf(df, col1, Seq(col2), cfg)
+    val hist = impact.histograms.get(col2)
+    val none = (Array.empty[Double], Array.empty[Double])
+    val (pdfB, cdfB) = hist.fold(none)(h => LocalStage.pdfCdf(h.before))
+    val (pdfA, cdfA) = hist.fold(none)(h => LocalStage.pdfCdf(h.after))
 
-    TypeDetector.typeOf(df, col2) match {
-      case ColumnType.Numerical =>
-        val aggs = SparkStage.columnAggregates(df, Seq(col2), Nil, withDuplicates = false)
-        val s = aggs.numeric(col2)
-        val hist = SparkStage.histograms(df, Seq(s), cfg.int("hist.bins"), keep).get(col2).map(_.impact)
-        val (pdfB, cdfB) = hist.map(h => LocalStage.pdfCdf(h.before)).getOrElse((Array.empty[Double], Array.empty[Double]))
-        val (pdfA, cdfA) = hist.map(h => LocalStage.pdfCdf(h.after)).getOrElse((Array.empty[Double], Array.empty[Double]))
-
-        // five-number summaries before/after in one action
-        val yc = SparkStage.cleanNum(col2)
-        val qRow = df.agg(SparkStage.fiveNumbers(yc), SparkStage.fiveNumbers(when(keep, yc))).head()
-        def qs(i: Int): Option[Array[Double]] =
-          if (qRow.isNullAt(i)) None else Some(qRow.getSeq[Double](i).toArray)
-        val boxes = for (b <- qs(0); a <- qs(1)) yield ImpactBoxPlot(col2,
-          LocalStage.boxFromFiveNumbers(s"$col2 (all rows)", b),
-          LocalStage.boxFromFiveNumbers(s"$col2 ($col1 present)", a))
-
-        MissingPairIntermediates(col1, col2, rowsTotal, rowsKept, hist, pdfB, pdfA, cdfB, cdfA,
-          boxes, None, hist.toSeq.flatMap(Insights.missingImpact(col1, _, cfg)))
-
-      case ColumnType.Categorical =>
-        val freq = SparkStage.frequencies(df, Seq(col2), cfg.int("freq.maxdistinct"), keep).get(col2)
-          .map(v => ImpactFrequencies(col2, v.take(cfg.int("bar.topk"))))
-        MissingPairIntermediates(col1, col2, rowsTotal, rowsKept,
-          None, Array.empty, Array.empty, Array.empty, Array.empty, None, freq, Nil)
+    // five-number summaries before/after in one action
+    val boxes = if (hist.isEmpty) None else {
+      val yc = SparkStage.cleanNum(col2)
+      val qRow = df.agg(SparkStage.fiveNumbers(yc),
+        SparkStage.fiveNumbers(when(!SparkStage.isMissing(df, col1), yc))).head()
+      def qs(i: Int): Option[Array[Double]] =
+        if (qRow.isNullAt(i)) None else Some(qRow.getSeq[Double](i).toArray)
+      for (b <- qs(0); a <- qs(1)) yield ImpactBoxPlot(col2,
+        LocalStage.boxFromFiveNumbers(s"$col2 (all rows)", b),
+        LocalStage.boxFromFiveNumbers(s"$col2 ($col1 present)", a))
     }
+
+    MissingPairIntermediates(col1, col2, impact.rowsTotal, impact.rowsKept, hist, pdfB, pdfA, cdfB, cdfA,
+      boxes, impact.frequencies.get(col2), impact.insights)
   }
 }

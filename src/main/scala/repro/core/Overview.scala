@@ -6,8 +6,8 @@ import repro.core.Intermediates._
 /** Overview task — plot(df): dataset statistics plus a histogram per
   * numerical column and a bar chart per categorical column (Figure 2, row 1).
   *
-  * Pipeline: pass 1 over every column (the precompute stage, five jobs),
-  * then one job for ALL histograms and one for ALL bar charts. Seven Spark
+  * Pipeline: pass 1 over every column (the precompute stage, four jobs),
+  * then one job for ALL histograms and one for ALL bar charts. Six Spark
   * actions total, independent of the number of columns.
   */
 object Overview {

@@ -13,7 +13,7 @@ import repro.stats.LocalStats.PairMoments
   *
   * Design rule, mirroring the paper's single-graph optimization: one
   * reduction per kind, each running O(1) Spark actions however many
-  * columns or pairs it covers — one action for most, five for
+  * columns or pairs it covers — one action for most, up to four for
   * `columnAggregates` and two for `missingPatterns`. Multi-column work is
   * fused into `posexplode → groupBy(columnIndex, …)` jobs, so the
   * aggregate-expression set stays constant-size whatever the width. Values
@@ -60,7 +60,7 @@ object SparkStage extends Reductions {
       case ColumnType.Categorical => colRef(c).isNull
     }
 
-  /** All pass-1 aggregates of a table, computed in one action. */
+  /** All pass-1 aggregates of a table (`columnAggregates`). */
   final case class TableAggregates(rows: Long, duplicateRows: Long,
                                    numeric: Map[String, NumericStats],
                                    categorical: Map[String, CategoricalStats])
@@ -81,11 +81,12 @@ object SparkStage extends Reductions {
     * quantile grids, zero/negative/infinite counts, string-length stats, the
     * table row count and the duplicate-row count.
     *
-    * Execution shape: `df.count()` (the chunk-size precompute analog) and
-    * then the duplicate-count agg, two `posexplode → groupBy(columnIndex)`
-    * jobs for ALL numeric columns, and one for ALL categorical columns —
-    * five Spark actions regardless of column count, submitted as four
-    * concurrent tasks. Grouping by column index keeps the aggregate-
+    * Execution shape: two `posexplode → groupBy(columnIndex)` jobs for ALL
+    * numeric columns, one for ALL categorical columns and, with
+    * `withDuplicates`, the distinct-row agg — at most four concurrent Spark
+    * actions regardless of column count. Each column's groups count every
+    * row, so the first listed column gives the row count (`df.count()` runs
+    * only when none is). Grouping by column index keeps the aggregate-
     * expression set constant-size, so Catalyst planning and codegen stay
     * O(1) as tables get wider (a wide flat `agg` with 14 expressions *per
     * column* spends tens of seconds in planning/janino before touching any
@@ -123,14 +124,11 @@ object SparkStage extends Reductions {
       df.agg(count_distinct(struct(df.columns.toSeq.map(c => colRef(c).cast(StringType)): _*)))
 
     // The actions, inline so that each job's call site is columnAggregates.
-    val ((rows, dups), moments, distincts, categoricalRows) = Concurrently(df.sparkSession.sparkContext)({
-      val rows = df.count()
-      val withRows = withDuplicates && df.columns.nonEmpty && rows > 0
-      (rows, if (withRows) rows - getLong(distinctRows.head(), 0) else 0L)
-    },
+    val (moments, distincts, categoricalRows, distinctRowCount) = Concurrently(df.sparkSession.sparkContext)(
       if (numCols.isEmpty) Array.empty[Row] else numericAgg.collect(),
       if (numCols.isEmpty) Array.empty[Row] else distinctAgg.collect(),
-      if (catCols.isEmpty) Array.empty[Row] else categoricalAgg.collect())
+      if (catCols.isEmpty) Array.empty[Row] else categoricalAgg.collect(),
+      if (withDuplicates && df.columns.nonEmpty) Some(getLong(distinctRows.head(), 0)) else None)
 
     val distinctByPos = distincts.map(r => r.getInt(0) -> getLong(r, 1)).toMap
     val momentsByPos = moments.map(r => r.getInt(0) -> r).toMap
@@ -162,7 +160,10 @@ object SparkStage extends Reductions {
       })
     }.toMap
 
-    TableAggregates(rows, dups, numeric, categorical)
+    val rows = numCols.headOption.map(numeric(_).total)
+      .orElse(catCols.headOption.map(categorical(_).total))
+      .getOrElse(df.count())
+    TableAggregates(rows, distinctRowCount.fold(0L)(rows - _), numeric, categorical)
   }
 
   // ---------------------------------------------------------------------

@@ -100,7 +100,7 @@ class ConcurrencySpec extends SparkSpec {
     sc.setJobGroup("eda-report", "a labelled report")
     try { Eda.createReport(df); ListenerBusDrain(sc) }
     finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
-    assert(groups.size == 11)
+    assert(groups.size == 10)
     assert(groups.asScala.toSet == Set("eda-report"))
   }
 }

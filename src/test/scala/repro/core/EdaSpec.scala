@@ -35,6 +35,16 @@ class EdaSpec extends SparkSpec with TestHelpers {
     assert(Eda.plotCorrelation(df, "num_0", "num_1").tabs.head.components.nonEmpty)
   }
 
+  test("every call tunes the session it runs on, a new session too") {
+    Eda.plot(df, "num_0")
+    val other = spark.newSession()
+    Eda.plot(other.range(10).toDF("x"), "x")
+    assert(other.conf.get("spark.sql.codegen.wholeStage") == "false")
+    assert(other.conf.get("spark.sql.adaptive.enabled") == "false")
+    assert(other.conf.get("spark.sql.shuffle.partitions") ==
+      math.max(4, Runtime.getRuntime.availableProcessors()).toString)
+  }
+
   test("plotMissing(df) / (df, col) / (df, col1, col2)") {
     assert(Eda.plotMissing(df).tabs.map(_.name).contains("Dendrogram"))
     assert(Eda.plotMissing(df, "num_0").title.contains("num_0"))

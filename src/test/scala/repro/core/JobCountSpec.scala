@@ -41,26 +41,26 @@ class JobCountSpec extends SparkSpec {
   }
 
   test("createReport runs as many Spark jobs on a wide table as on a narrow one") {
-    assert(jobsOf(Eda.createReport(narrow)) == 11)
-    assert(jobsOf(Eda.createReport(wide)) == 11)
+    assert(jobsOf(Eda.createReport(narrow)) == 10)
+    assert(jobsOf(Eda.createReport(wide)) == 10)
   }
 
   /** Spark jobs of each fine-grained task: a shared reduction that is
     * dropped, or a fused one that is split, changes a count.
     */
   private val taskJobs: Seq[(String, DataFrame => Any, Long)] = Seq(
-    ("plot(df)", Eda.plot(_), 7),
-    ("plot(df, num_0)", Eda.plot(_, "num_0"), 4),
-    ("plot(df, cat_0)", Eda.plot(_, "cat_0"), 4),
-    ("plot(df, num_0, num_1)", Eda.plot(_, "num_0", "num_1"), 8),
-    ("plot(df, cat_0, num_1)", Eda.plot(_, "cat_0", "num_1"), 5),
+    ("plot(df)", Eda.plot(_), 6),
+    ("plot(df, num_0)", Eda.plot(_, "num_0"), 3),
+    ("plot(df, cat_0)", Eda.plot(_, "cat_0"), 3),
+    ("plot(df, num_0, num_1)", Eda.plot(_, "num_0", "num_1"), 7),
+    ("plot(df, cat_0, num_1)", Eda.plot(_, "cat_0", "num_1"), 4),
     ("plot(df, cat_0, cat_1)", Eda.plot(_, "cat_0", "cat_1"), 1),
-    ("plotCorrelation(df)", Eda.plotCorrelation(_), 4),
-    ("plotCorrelation(df, num_0)", Eda.plotCorrelation(_, "num_0"), 4),
+    ("plotCorrelation(df)", Eda.plotCorrelation(_), 3),
+    ("plotCorrelation(df, num_0)", Eda.plotCorrelation(_, "num_0"), 3),
     ("plotCorrelation(df, num_0, num_1)", Eda.plotCorrelation(_, "num_0", "num_1"), 4),
-    ("plotMissing(df, num_0)", Eda.plotMissing(_, "num_0"), 6),
-    ("plotMissing(df, cat_0)", Eda.plotMissing(_, "cat_0"), 6),
-    ("plotMissing(df, num_0, num_1)", Eda.plotMissing(_, "num_0", "num_1"), 6),
+    ("plotMissing(df, num_0)", Eda.plotMissing(_, "num_0"), 5),
+    ("plotMissing(df, cat_0)", Eda.plotMissing(_, "cat_0"), 5),
+    ("plotMissing(df, num_0, num_1)", Eda.plotMissing(_, "num_0", "num_1"), 5),
     ("plotMissing(df, num_0, cat_2)", Eda.plotMissing(_, "num_0", "cat_2"), 2),
   )
 

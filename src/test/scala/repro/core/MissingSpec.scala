@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.functions.lit
+
 import repro.{Oracle, SparkSpec, TestHelpers}
 
 /** plot_missing(df[, col1[, col2]]). */
@@ -148,6 +150,15 @@ class MissingSpec extends SparkSpec with TestHelpers {
     val b = p.boxes.get
     assert(b.before.min == 0.0 && b.before.max == 99.0)
     assert(b.after.min == 1.0 && b.after.max == 99.0) // odd rows only
+  }
+
+  test("pair (numeric): an all-null col2 has no histogram, PDF, CDF or boxes, as in impact") {
+    val d = df.withColumn("dead", lit(null).cast("double"))
+    val p = Missing.pair(d, "a", "dead", cfg)
+    assert(p.histogram.isEmpty && p.boxes.isEmpty && p.frequencies.isEmpty)
+    assert(Seq(p.pdfBefore, p.pdfAfter, p.cdfBefore, p.cdfAfter).forall(_.isEmpty))
+    assert(p.rowsTotal == 100 && p.rowsKept == 50)
+    assert(!Missing.impact(d, "a", cfg).histograms.contains("dead"))
   }
 
   test("pair (categorical): frequencies produced instead of histogram") {

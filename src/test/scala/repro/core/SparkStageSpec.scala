@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.lit
+import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec, TestHelpers}
 import repro.core.Intermediates.NumericStats
 import repro.stats.{LocalStats, References}
@@ -119,6 +121,25 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(a.rows == 0)
     val s = a.numeric("x")
     assert(s.count == 0 && s.missing == 0 && s.mean.isNaN && s.percentiles.isEmpty)
+  }
+
+  test("columnAggregates: rows equal df.count() whichever columns are listed") {
+    val schema = StructType(Seq(StructField("i", IntegerType), StructField("d", DecimalType(10, 2)),
+      StructField("x", DoubleType), StructField("dead", DoubleType), StructField("s", StringType)))
+    def dec(v: String) = new java.math.BigDecimal(v)
+    val t = spark.createDataFrame(java.util.Arrays.asList(
+      Row(1, dec("1.50"), Double.NaN, null, "a"),
+      Row(null, null, Double.PositiveInfinity, null, null),
+      Row(3, dec("-2.25"), Double.NegativeInfinity, null, "b"),
+      Row(3, dec("-2.25"), Double.NegativeInfinity, null, "b"),
+      Row(null, dec("0.00"), 4.0, null, null)), schema)
+    val empty = t.where(lit(false))
+    val lists = Seq((Seq("x", "i"), Nil), (Seq("dead"), Nil), (Seq("d"), Nil), (Nil, Seq("s")),
+      (Seq("dead", "x"), Seq("s")), (Seq("i", "d"), Seq("s")), (Nil, Nil))
+    for (d <- Seq(t, empty); (num, cat) <- lists)
+      assert(SparkStage.columnAggregates(d, num, cat).rows == d.count(), (num, cat))
+    val noColumns = Overview.compute(spark.range(5).select(), EdaConfig.default).dataset
+    assert(noColumns.rows == 5 && noColumns.duplicateRows == 0)
   }
 
   test("columnAggregates: single-row DataFrame") {
