@@ -31,7 +31,7 @@ class EngineStrategyBench extends BenchHarness {
     val (_, tPerPlot) = time {
       // one fused agg per column (stats panel), one histogram job per column
       numCols.foreach { c =>
-        val s = SparkStage.columnAggregates(df, Seq(c), Nil, withDuplicates = false).numeric(c)
+        val s = SparkStage.numericStats(df, Seq(c))(c)
         if (s.count > 0) SparkStage.histograms(df, Seq(s), cfg.int("hist.bins"))
       }
     }
@@ -39,7 +39,7 @@ class EngineStrategyBench extends BenchHarness {
     val (_, tEager) = time {
       // one job per statistic per column
       numCols.foreach { c =>
-        val s = ProfilingBaseline.numericStats(df, c)
+        val s = ProfilingBaseline.numericStats(df, Seq(c))(c)
         if (s.count > 0) ProfilingBaseline.histograms(df, Seq(s), cfg.int("hist.bins"))
       }
     }

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
 import repro.core._
-import repro.core.SparkStage.{binOf, cleanNum, colRef, countsOf, edgesOf, getDouble, getLong, widthOf}
+import repro.core.SparkStage.{binOf, cleanNum, colRef, countsOf, distinctRows, edgesOf, getDouble, getLong, widthOf}
 import repro.core.Intermediates._
 
 /** The comparison baseline: a Pandas-profiling-style profiler.
@@ -32,8 +32,8 @@ object ProfilingBaseline extends Reductions {
   private def firstDouble(df: DataFrame, e: Column): Double = getDouble(df.agg(e).head(), 0)
   private def firstLong(df: DataFrame, e: Column): Long = getLong(df.agg(e).head(), 0)
 
-  /** One eager action per statistic — the defining inefficiency. */
-  def numericStats(df: DataFrame, c: String): NumericStats = {
+  /** One eager action per statistic per column — the defining inefficiency. */
+  def numericStats(df: DataFrame, cols: Seq[String]): Map[String, NumericStats] = cols.map { c =>
     val raw = colRef(c).cast(DoubleType)
     val x = cleanNum(c)
     val count = firstLong(df, org.apache.spark.sql.functions.count(x))
@@ -52,28 +52,25 @@ object ProfilingBaseline extends Reductions {
     val pRow = df.agg(SparkStage.quantiles(x, SparkStage.PercentileProbs)).head()
     val percentiles =
       if (pRow.isNullAt(0)) Array.empty[Double] else pRow.getSeq[Double](0).toArray
-    NumericStats(c, count, missing, distinct, mean, std, mn, mx, skew, kurt,
+    c -> NumericStats(c, count, missing, distinct, mean, std, mn, mx, skew, kurt,
       zeros, negatives, infinites, sm, percentiles)
-  }
+  }.toMap
 
-  def categoricalStats(df: DataFrame, c: String): CategoricalStats = {
+  def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats] = cols.map { c =>
     val s = colRef(c).cast(StringType)
-    CategoricalStats(c,
+    c -> CategoricalStats(c,
       count = firstLong(df, org.apache.spark.sql.functions.count(s)),
       missing = firstLong(df, org.apache.spark.sql.functions.count(when(s.isNull, 1))),
       distinct = firstLong(df, count_distinct(s)),
       minLength = firstLong(df, min(length(s))),
       maxLength = firstLong(df, max(length(s))),
       avgLength = firstDouble(df, avg(length(s))))
-  }
+  }.toMap
 
-  def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
-                       withDuplicates: Boolean): SparkStage.TableAggregates = {
+  /** The row count, then the distinct rows: one action each. */
+  def tableCounts(df: DataFrame): (Long, Long) = {
     val rows = df.count()
-    val dups = if (!withDuplicates) 0L else rows - firstLong(df,
-      count_distinct(struct(df.columns.toSeq.map(c => colRef(c).cast(StringType)): _*)))
-    SparkStage.TableAggregates(rows, dups, numCols.map(c => c -> numericStats(df, c)).toMap,
-      catCols.map(c => c -> categoricalStats(df, c)).toMap)
+    (rows, if (df.columns.isEmpty) 0L else rows - firstLong(df, distinctRows(df)))
   }
 
   /** One histogram job and one outlier-count action per column (no
@@ -119,7 +116,7 @@ object ProfilingBaseline extends Reductions {
                    maxRows: Long): Map[String, Map[(String, String), Double]] = {
     val pairs = for (i <- cols.indices; j <- i + 1 until cols.size) yield (cols(i), cols(j))
     methods.map(m => m -> pairs.map { case p @ (a, b) =>
-      p -> (if (m == "pearson") SparkStage.pairwiseMoments(df, Seq(p))(p).pearson
+      p -> (if (m == "pearson") SparkStage.pairMoments(df, a, b).pearson
             else LocalStage.coefficients(Seq(a, b),
               SparkStage.collectNumericMatrix(df, Seq(a, b), rows, maxRows), Seq(m), Seq((0, 1)))(m)(p))
     }.toMap).toMap

@@ -37,8 +37,8 @@ object Bivariate {
     }
 
   def numNum(df: DataFrame, x: String, y: String, cfg: EdaConfig): NumNumBivariate = {
-    val aggs = SparkStage.columnAggregates(df, Seq(x, y), Nil, withDuplicates = false)
-    val xs = aggs.numeric(x); val ys = aggs.numeric(y)
+    val stats = SparkStage.numericStats(df, Seq(x, y))
+    val xs = stats(x); val ys = stats(y)
 
     val (moments, scatter) = Correlation.scatterWithRegression(df, x, y, cfg)
 
@@ -56,8 +56,7 @@ object Bivariate {
   }
 
   def catNum(df: DataFrame, cat: String, num: String, cfg: EdaConfig): CatNumBivariate = {
-    val aggs = SparkStage.columnAggregates(df, Seq(num), Nil, withDuplicates = false)
-    val ns = aggs.numeric(num)
+    val ns = SparkStage.numericStats(df, Seq(num))(num)
     val topK = cfg.int("nc.topk")
 
     val grouped = SparkStage.groupedNumericStats(df, cat, num, topK)

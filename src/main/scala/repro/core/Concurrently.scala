@@ -34,9 +34,9 @@ private[repro] final class Concurrently private (sc: Option[SparkContext]) {
     (x.asInstanceOf[A], y.asInstanceOf[B], z.asInstanceOf[C])
   }
 
-  def apply[A, B, C, D](a: => A, b: => B, c: => C, d: => D): (A, B, C, D) = {
-    val Seq(w, x, y, z) = apply(Seq(() => a, () => b, () => c, () => d))
-    (w.asInstanceOf[A], x.asInstanceOf[B], y.asInstanceOf[C], z.asInstanceOf[D])
+  def apply[A, B, C, D, E](a: => A, b: => B, c: => C, d: => D, e: => E): (A, B, C, D, E) = {
+    val Seq(v, w, x, y, z) = apply(Seq(() => a, () => b, () => c, () => d, () => e))
+    (v.asInstanceOf[A], w.asInstanceOf[B], x.asInstanceOf[C], y.asInstanceOf[D], z.asInstanceOf[E])
   }
 
   /** `body` under the given local properties, restoring the pool thread's own after. */

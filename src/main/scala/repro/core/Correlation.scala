@@ -48,18 +48,20 @@ object Correlation {
 
   def matrix(df: DataFrame, cfg: EdaConfig): CorrelationIntermediates = {
     val cols = corrColumns(df, cfg)
-    val aggs = SparkStage.columnAggregates(df, cols, Nil, withDuplicates = false)
-    matrixFromAggregates(cols, aggs, SparkStage.correlations(df, cols, aggs.rows,
+    val numeric = SparkStage.numericStats(df, cols)
+    // every row of a column is finite, missing or infinite
+    val rows = cols.headOption.fold(0L)(numeric(_).total)
+    matrixFromAggregates(cols, numeric, SparkStage.correlations(df, cols, rows,
       cfg.strings("corr.methods"), cfg.long("corr.maxrows")), cfg)
   }
 
-  /** The matrices from pass 1 and every pair's coefficients per method. */
-  def matrixFromAggregates(cols: Seq[String], aggs: SparkStage.TableAggregates,
+  /** The matrices from the columns' pass-1 stats and every pair's coefficients per method. */
+  def matrixFromAggregates(cols: Seq[String], numeric: Map[String, NumericStats],
                            coefficients: Map[String, Map[(String, String), Double]],
                            cfg: EdaConfig): CorrelationIntermediates = {
     if (cols.size < 2) return CorrelationIntermediates(cols, Nil, Nil)
     val matrices = cfg.strings("corr.methods").map(m =>
-      LocalStage.correlationMatrix(m, cols, coefficients(m), aggs.numeric(_).hasVariance))
+      LocalStage.correlationMatrix(m, cols, coefficients(m), numeric(_).hasVariance))
     CorrelationIntermediates(cols, matrices, matrices.map(Insights.highCorrelations(_, cfg)))
   }
 
@@ -69,15 +71,15 @@ object Correlation {
     val cols = corrColumns(df, cfg)
     val others = cols.filterNot(_ == column)
     val sub = column +: others
-    val aggs = SparkStage.columnAggregates(df, sub, Nil, withDuplicates = false)
-    val sample = SparkStage.collectNumericMatrix(df, sub, aggs.rows, cfg.long("corr.maxrows"))
+    val numeric = SparkStage.numericStats(df, sub)
+    val sample = SparkStage.collectNumericMatrix(df, sub, numeric(column).total, cfg.long("corr.maxrows"))
     // only the column's own pairs: (column, other) for every other column
     val methods = cfg.strings("corr.methods")
     val coefficients = LocalStage.coefficients(sub, sample, methods,
       others.indices.map(i => (0, i + 1)))
     val vectors = methods.map { m =>
       CorrelationVector(m, column, others,
-        others.map(o => if (aggs.numeric(column).hasVariance && aggs.numeric(o).hasVariance)
+        others.map(o => if (numeric(column).hasVariance && numeric(o).hasVariance)
           coefficients(m)((column, o)) else Double.NaN).toArray)
     }
     val insights = vectors.map(v => v.others.zip(v.values).flatMap { case (o, r) =>
@@ -110,7 +112,7 @@ object Correlation {
     */
   private[core] def scatterWithRegression(df: DataFrame, x: String, y: String,
                                           cfg: EdaConfig): (PairMoments, ScatterPlot) = {
-    val moments = SparkStage.pairwiseMoments(df, Seq((x, y)))((x, y))
+    val moments = SparkStage.pairMoments(df, x, y)
     val (slope, intercept) = moments.regression
     val points = SparkStage.scatterSample(df, x, y, cfg.int("scatter.sample"))
     (moments, ScatterPlot(x, y, points, slope, intercept, moments.pearson))

@@ -82,11 +82,13 @@ object Eda {
     * Spark actions regardless of column count, in two waves of concurrent
     * jobs —
     *
-    *  1. wave 1, the reductions that need nothing computed first: the fused
-    *     per-column aggregates over every column (precompute stage, four
-    *     jobs; shared by the Overview section, every Variables section, and
-    *     the correlation variance bookkeeping), one job for all frequency
-    *     tables, and, for missing values, one row-count job and one
+    *  1. wave 1, the reductions that need nothing computed first: pass 1
+    *     (the precompute stage) as the numeric statistics of every numeric
+    *     column (two jobs), the categorical statistics of every categorical
+    *     column (one job) and the table's row and duplicate-row counts (one
+    *     job), shared by the Overview section, every Variables section and
+    *     the correlation variance bookkeeping; one job for all frequency
+    *     tables; and, for missing values, one row-count job and one
     *     `groupBy(spectrum bucket, missing pattern)` job (bar counts,
     *     spectrum, nullity correlation and dendrogram all come from the
     *     pattern counts);
@@ -111,13 +113,16 @@ object Eda {
     val catCols = TypeDetector.categoricalColumns(df)
     val cols = df.columns.toSeq
 
-    val (aggs, freqs, (rows, missingCounts, spectrum, bothMissing)) = concurrently(
-      r.columnAggregates(df, numCols, catCols),
+    val (numeric, categorical, counts, freqs, (rows, missingCounts, spectrum, bothMissing)) = concurrently(
+      r.numericStats(df, numCols),
+      r.categoricalStats(df, catCols),
+      r.tableCounts(df),
       r.frequencies(df, catCols, cfg.int("freq.maxdistinct")),
       r.missing(df, cols, cfg.int("spectrum.bins")))
 
     // Interactions: 2-D grids for the first k numeric pairs with data
-    val numStats = numCols.map(aggs.numeric)
+    val numStats = numCols.map(numeric)
+    val catStats = catCols.map(categorical)
     val withData = numStats.filter(_.count > 0)
     val pairs = (for (i <- withData.indices; j <- i + 1 until withData.size)
       yield (withData(i), withData(j))).take(cfg.int("report.interactions"))
@@ -126,22 +131,22 @@ object Eda {
     val (binned, interactions, coefficients) = concurrently(
       r.histograms(df, withData, cfg.int("hist.bins")),
       r.grids(df, pairs, cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins")),
-      r.correlations(df, corrCols, aggs.rows, cfg.strings("corr.methods"), cfg.long("corr.maxrows")))
+      r.correlations(df, corrCols, counts._1, cfg.strings("corr.methods"), cfg.long("corr.maxrows")))
 
-    val overview = Overview.fromAggregates(cfg, numCols, catCols, aggs,
+    val overview = Overview.fromAggregates(cfg, numStats, catStats, counts,
       binned.map { case (c, b) => c -> b.histogram }, freqs)
     val variables: Seq[Univariate.UnivariateIntermediates] =
       numStats.map(Univariate.fromStats(_, cfg, binned)) ++
-        catCols.map(c => Univariate.fromCatStats(aggs.categorical(c), cfg, freqs,
-          WordFrequencies(c, Nil, 0L)))
-    val correlations = Correlation.matrixFromAggregates(corrCols, aggs, coefficients, cfg)
+        catStats.map(s => Univariate.fromCatStats(s, cfg, freqs, WordFrequencies(s.name, Nil, 0L)))
+    val correlations = Correlation.matrixFromAggregates(corrCols, numeric, coefficients, cfg)
     val missing = Missing.assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
 
     ReportIntermediates(overview, variables, interactions, correlations, missing)
   }
 
+  /** The config is validated here; `computeReportIntermediates` tunes the session. */
   def createReport(df: DataFrame, config: Map[String, Any] = Map.empty): Report = {
-    val cfg = cfgOf(df, config)
+    val cfg = EdaConfig.from(config)
     Render.fullReport(computeReportIntermediates(df, cfg), cfg)
   }
 }

@@ -106,11 +106,9 @@ object Missing {
                        cfg: EdaConfig): MissingImpactIntermediates = {
     val keep = !SparkStage.isMissing(df, col1)
     val (numCols, catCols) = cols.partition(TypeDetector.typeOf(df, _) == ColumnType.Numerical)
-    val hists = if (numCols.isEmpty) Map.empty[String, ImpactHistogram] else {
-      val aggs = SparkStage.columnAggregates(df, numCols, Nil, withDuplicates = false)
-      SparkStage.histograms(df, numCols.map(aggs.numeric).filter(_.count > 0), cfg.int("hist.bins"), keep)
-        .map { case (c, b) => c -> b.impact }
-    }
+    val stats = SparkStage.numericStats(df, numCols)
+    val hists = SparkStage.histograms(df, numCols.map(stats).filter(_.count > 0), cfg.int("hist.bins"), keep)
+      .map { case (c, b) => c -> b.impact }
     val freqs = SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct"), keep)
       .map { case (c, vs) => c -> ImpactFrequencies(c, vs.take(cfg.int("bar.topk"))) }
     val rows = df.agg(count(lit(1)), count(when(keep, 1))).head()

@@ -6,9 +6,11 @@ import repro.core.Intermediates._
 /** Overview task — plot(df): dataset statistics plus a histogram per
   * numerical column and a bar chart per categorical column (Figure 2, row 1).
   *
-  * Pipeline: pass 1 over every column (the precompute stage, four jobs),
-  * then one job for ALL histograms and one for ALL bar charts. Six Spark
-  * actions total, independent of the number of columns.
+  * Pipeline: pass 1 (the precompute stage) as three concurrent reductions
+  * — numeric statistics (two jobs), categorical statistics and the table's
+  * row and duplicate-row counts (one job each) — then one job for ALL
+  * histograms and one for ALL bar charts. Six Spark actions total,
+  * independent of the number of columns.
   */
 object Overview {
 
@@ -24,21 +26,24 @@ object Overview {
     val numCols = TypeDetector.numericColumns(df)
     val catCols = TypeDetector.categoricalColumns(df)
 
-    val aggs = SparkStage.columnAggregates(df, numCols, catCols)
-    fromAggregates(cfg, numCols, catCols, aggs,
-      SparkStage.histograms(df, numCols.map(aggs.numeric).filter(_.count > 0), cfg.int("hist.bins"))
+    val (numeric, categorical, counts) = Concurrently(df.sparkSession.sparkContext)(
+      SparkStage.numericStats(df, numCols), SparkStage.categoricalStats(df, catCols), SparkStage.tableCounts(df))
+    val numStats = numCols.map(numeric)
+    fromAggregates(cfg, numStats, catCols.map(categorical), counts,
+      SparkStage.histograms(df, numStats.filter(_.count > 0), cfg.int("hist.bins"))
         .map { case (c, b) => c -> b.histogram },
       SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
   }
 
-  /** The overview from pass 1, the histograms of the numeric columns with
-    * data and the value counts of the categorical columns.
+  /** The overview from pass 1 (the column stats in schema order and the
+    * table's (rows, duplicate rows)), the histograms of the numeric columns
+    * with data and the value counts of the categorical columns.
     */
-  def fromAggregates(cfg: EdaConfig, numCols: Seq[String], catCols: Seq[String],
-                     aggs: SparkStage.TableAggregates, hists: Map[String, Histogram],
+  def fromAggregates(cfg: EdaConfig, numStats: Seq[NumericStats], catStats: Seq[CategoricalStats],
+                     counts: (Long, Long), hists: Map[String, Histogram],
                      rawFreqs: Map[String, Seq[(String, Long)]]): OverviewIntermediates = {
-    val numStats = numCols.map(aggs.numeric)
-    val catStats = catCols.map(aggs.categorical)
+    val (rows, duplicateRows) = counts
+    val columns = numStats.size + catStats.size
 
     val topK = cfg.int("bar.topk")
     val freqs = catStats.map { s =>
@@ -47,16 +52,16 @@ object Overview {
     }.toMap
 
     val dataset = DatasetStats(
-      rows = aggs.rows, columns = numCols.size + catCols.size,
-      numericColumns = numCols.size, categoricalColumns = catCols.size,
+      rows = rows, columns = columns,
+      numericColumns = numStats.size, categoricalColumns = catStats.size,
       missingCells = numStats.map(_.missing).sum + catStats.map(_.missing).sum,
-      totalCells = aggs.rows * (numCols.size + catCols.size),
-      duplicateRows = aggs.duplicateRows)
+      totalCells = rows * columns,
+      duplicateRows = duplicateRows)
 
     val insights =
       numStats.flatMap(s => Insights.numeric(s, hists.get(s.name), outliers = 0L, cfg)) ++
       catStats.flatMap(s => Insights.categorical(s, cfg)) ++
-      Insights.similarDistributions(numCols.flatMap(hists.get), cfg)
+      Insights.similarDistributions(numStats.flatMap(s => hists.get(s.name)), cfg)
 
     OverviewIntermediates(dataset, numStats, catStats, hists, freqs, insights)
   }

@@ -12,8 +12,14 @@ import repro.core.Intermediates._
   */
 private[repro] trait Reductions {
 
-  def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
-                       withDuplicates: Boolean = true): SparkStage.TableAggregates
+  /** Pass-1 statistics of each listed numeric column; no job when none is listed. */
+  def numericStats(df: DataFrame, cols: Seq[String]): Map[String, NumericStats]
+
+  /** Pass-1 statistics of each listed categorical column; no job when none is listed. */
+  def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats]
+
+  /** (rows, duplicate rows) of the table. */
+  def tableCounts(df: DataFrame): (Long, Long)
 
   /** Histogram and outlier count of each listed column, binned and fenced
     * from its pass-1 stats; every row is kept.

@@ -13,12 +13,12 @@ import repro.stats.LocalStats.PairMoments
   *
   * Design rule, mirroring the paper's single-graph optimization: one
   * reduction per kind, each running O(1) Spark actions however many
-  * columns or pairs it covers — one action for most, up to four for
-  * `columnAggregates` and two for `missingPatterns`. Multi-column work is
-  * fused into `posexplode → groupBy(columnIndex, …)` jobs, so the
+  * columns or pairs it covers — one action for most, two for
+  * `numericStats` and for `missingPatterns`. Multi-column work is fused
+  * into `posexplode → groupBy(columnIndex, …)` jobs, so the
   * aggregate-expression set stays constant-size whatever the width. Values
   * the plan needs as literals (bin widths, Tukey fences) come from a prior
-  * `columnAggregates` pass — the analog of the paper's eager chunk-size
+  * `numericStats` pass — the analog of the paper's eager chunk-size
   * precompute stage.
   *
   * It is also the fused implementation of `Reductions`, the reductions the
@@ -60,11 +60,6 @@ object SparkStage extends Reductions {
       case ColumnType.Categorical => colRef(c).isNull
     }
 
-  /** All pass-1 aggregates of a table (`columnAggregates`). */
-  final case class TableAggregates(rows: Long, duplicateRows: Long,
-                                   numeric: Map[String, NumericStats],
-                                   categorical: Map[String, CategoricalStats])
-
   private[repro] def getLong(r: Row, i: Int): Long = if (r.isNullAt(i)) 0L else r.get(i) match {
     case l: Long => l
     case n: Number => n.longValue
@@ -77,26 +72,21 @@ object SparkStage extends Reductions {
     case other => throw new IllegalStateException(s"expected double at $i, got $other")
   }
 
-  /** Pass-1 aggregates of every column: totals, missing, distincts, moments,
-    * quantile grids, zero/negative/infinite counts, string-length stats, the
-    * table row count and the duplicate-row count.
+  /** Pass-1 statistics of every listed numeric column: totals, missing,
+    * distincts, moments, quantile grids and zero/negative/infinite counts.
     *
-    * Execution shape: two `posexplode → groupBy(columnIndex)` jobs for ALL
-    * numeric columns, one for ALL categorical columns and, with
-    * `withDuplicates`, the distinct-row agg — at most four concurrent Spark
-    * actions regardless of column count. Each column's groups count every
-    * row, so the first listed column gives the row count (`df.count()` runs
-    * only when none is). Grouping by column index keeps the aggregate-
-    * expression set constant-size, so Catalyst planning and codegen stay
-    * O(1) as tables get wider (a wide flat `agg` with 14 expressions *per
-    * column* spends tens of seconds in planning/janino before touching any
-    * data).
+    * Execution shape: two concurrent `posexplode → groupBy(columnIndex)`
+    * jobs for ALL listed columns, and none when no column is listed.
+    * Grouping by column index keeps the aggregate-expression set
+    * constant-size, so Catalyst planning and codegen stay O(1) as tables get
+    * wider (a wide flat `agg` with 14 expressions *per column* spends tens
+    * of seconds in planning/janino before touching any data).
     */
-  def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
-                       withDuplicates: Boolean): TableAggregates = {
+  def numericStats(df: DataFrame, cols: Seq[String]): Map[String, NumericStats] = {
+    if (cols.isEmpty) return Map.empty
     // The plans, built (and analyzed) by the task that runs them.
     val raw = col("s.raw"); val v = col("s.v")
-    lazy val exploded = df.select(posexplode(array(numCols.map { c =>
+    lazy val exploded = df.select(posexplode(array(cols.map { c =>
       struct(colRef(c).cast(DoubleType).as("raw"), cleanNum(c).as("v"))
     }: _*)).as(Seq("pos", "s")))
     lazy val numericAgg = exploded
@@ -114,25 +104,14 @@ object SparkStage extends Reductions {
     // TypedImperative percentile forces a sort-aggregate over the
     // expanded rows — two fast hash aggs beat one slow sort agg.
     lazy val distinctAgg = exploded.groupBy(col("pos")).agg(count_distinct(v))
-    val value = col("value")
-    lazy val categoricalAgg = df
-      .select(posexplode(array(catCols.map(c => colRef(c).cast(StringType)): _*)).as(Seq("pos", "value")))
-      .groupBy(col("pos"))
-      .agg(count(value), count(when(value.isNull, 1)), count_distinct(value),
-        min(length(value)), max(length(value)), avg(length(value)))
-    lazy val distinctRows =
-      df.agg(count_distinct(struct(df.columns.toSeq.map(c => colRef(c).cast(StringType)): _*)))
 
-    // The actions, inline so that each job's call site is columnAggregates.
-    val (moments, distincts, categoricalRows, distinctRowCount) = Concurrently(df.sparkSession.sparkContext)(
-      if (numCols.isEmpty) Array.empty[Row] else numericAgg.collect(),
-      if (numCols.isEmpty) Array.empty[Row] else distinctAgg.collect(),
-      if (catCols.isEmpty) Array.empty[Row] else categoricalAgg.collect(),
-      if (withDuplicates && df.columns.nonEmpty) Some(getLong(distinctRows.head(), 0)) else None)
+    // The actions, inline so that each job's call site is numericStats.
+    val Seq(moments, distincts) = Concurrently(df.sparkSession.sparkContext)(
+      Seq(() => numericAgg.collect(), () => distinctAgg.collect()))
 
     val distinctByPos = distincts.map(r => r.getInt(0) -> getLong(r, 1)).toMap
     val momentsByPos = moments.map(r => r.getInt(0) -> r).toMap
-    val numeric = numCols.zipWithIndex.map { case (c, p) =>
+    cols.zipWithIndex.map { case (c, p) =>
       c -> (momentsByPos.get(p) match {
         case Some(r) => NumericStats(
           name = c,
@@ -150,21 +129,44 @@ object SparkStage extends Reductions {
           Double.NaN, Double.NaN, Double.NaN, 0, 0, 0, Double.NaN, Array.empty)
       })
     }.toMap
+  }
 
-    val categoricalByPos = categoricalRows.map(r => r.getInt(0) -> r).toMap
-    val categorical = catCols.zipWithIndex.map { case (c, p) =>
-      c -> (categoricalByPos.get(p) match {
+  /** Pass-1 statistics of every listed categorical column (totals, missing,
+    * distincts, string-length stats), one `posexplode → groupBy(columnIndex)`
+    * action, none when no column is listed.
+    */
+  def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats] = {
+    if (cols.isEmpty) return Map.empty
+    val value = col("value")
+    val byPos = df
+      .select(posexplode(array(cols.map(c => colRef(c).cast(StringType)): _*)).as(Seq("pos", "value")))
+      .groupBy(col("pos"))
+      .agg(count(value), count(when(value.isNull, 1)), count_distinct(value),
+        min(length(value)), max(length(value)), avg(length(value)))
+      .collect()
+      .map(r => r.getInt(0) -> r).toMap
+    cols.zipWithIndex.map { case (c, p) =>
+      c -> (byPos.get(p) match {
         case Some(r) => CategoricalStats(c, getLong(r, 1), getLong(r, 2), getLong(r, 3),
           getLong(r, 4), getLong(r, 5), getDouble(r, 6))
         case None => CategoricalStats(c, 0, 0, 0, 0, 0, Double.NaN)
       })
     }.toMap
-
-    val rows = numCols.headOption.map(numeric(_).total)
-      .orElse(catCols.headOption.map(categorical(_).total))
-      .getOrElse(df.count())
-    TableAggregates(rows, distinctRowCount.fold(0L)(rows - _), numeric, categorical)
   }
+
+  /** Distinct rows of `df`, every column compared as a string. */
+  private[repro] def distinctRows(df: DataFrame): Column =
+    count_distinct(struct(df.columns.toSeq.map(c => colRef(c).cast(StringType)): _*))
+
+  /** (rows, duplicate rows) of the table, one action; a table with no
+    * columns has no duplicates.
+    */
+  def tableCounts(df: DataFrame): (Long, Long) =
+    if (df.columns.isEmpty) (df.count(), 0L)
+    else {
+      val r = df.agg(count(lit(1)), distinctRows(df)).head()
+      (getLong(r, 0), getLong(r, 0) - getLong(r, 1))
+    }
 
   // ---------------------------------------------------------------------
   // Histograms: ALL numeric columns in one posexplode → groupBy job.
@@ -271,48 +273,26 @@ object SparkStage extends Reductions {
     val words = df
       .select(explode(split(lower(colRef(c).cast(StringType)), "[^a-z0-9]+")).as("word"))
       .where(length(col("word")) > 0)
-      .groupBy("word").count()
-    // single action: total + topK via sorted collect of capped rows
-    val rows = words.orderBy(col("count").desc, col("word")).limit(math.max(topK, 1000))
-      .collect().map(r => (r.getString(0), r.getLong(1)))
-    WordFrequencies(c, rows.take(topK).toSeq, rows.map(_._2).sum)
+      .rollup("word").agg(count(lit(1)).as("count"), grouping_id().as("total"))
+    // single action: the rollup's grand-total row (grouping id 1) sorts
+    // first, then the topK words; a column with no words has no total row
+    val (total, top) = words.orderBy(col("total").desc, col("count").desc, col("word"))
+      .limit(topK + 1).collect().toSeq.partition(_.getLong(2) == 1L)
+    WordFrequencies(c, top.take(topK).map(r => (r.getString(0), r.getLong(1))),
+      total.headOption.fold(0L)(_.getLong(1)))
   }
 
-  // ---------------------------------------------------------------------
-  // Pairwise moments: ALL column pairs in one wide agg.
-  // ---------------------------------------------------------------------
-
-  /** Sufficient statistics of every listed pair over pairwise-complete rows,
-    * one action. Feeds Pearson matrices, regression lines, and — run over
-    * rank columns — Spearman matrices.
-    *
-    * Execution shape: each row fans out to one (x, y) struct per pair via
-    * `posexplode`, then ONE six-expression agg grouped by pair index — the
-    * expression set stays constant-size no matter how many pairs there are
-    * (m² pairs as a flat agg would melt Catalyst planning/codegen).
+  /** Sufficient statistics of (x, y) over the rows where both are present,
+    * one six-expression agg. Feeds the regression line and the exact
+    * Pearson r of a pair.
     */
-  def pairwiseMoments(df: DataFrame,
-                      pairs: Seq[(String, String)]): Map[(String, String), PairMoments] = {
-    if (pairs.isEmpty) return Map.empty
-    val structs = pairs.map { case (a, b) =>
-      val x = cleanNum(a); val y = cleanNum(b)
-      val both = x.isNotNull && y.isNotNull
-      struct(when(both, x).as("x"), when(both, y).as("y"))
-    }
-    val x = col("s.x"); val y = col("s.y")
-    val rows = df.select(posexplode(array(structs: _*)).as(Seq("pos", "s")))
-      .groupBy(col("pos"))
-      .agg(count(x), sum(x), sum(y), sum(x * x), sum(y * y), sum(x * y))
-      .collect()
-    val byPos = rows.map { r =>
-      r.getInt(0) -> PairMoments(getLong(r, 1),
-        zeroIfNaN(getDouble(r, 2)), zeroIfNaN(getDouble(r, 3)),
-        zeroIfNaN(getDouble(r, 4)), zeroIfNaN(getDouble(r, 5)),
-        zeroIfNaN(getDouble(r, 6)))
-    }.toMap
-    pairs.zipWithIndex.map { case (p, k) =>
-      p -> byPos.getOrElse(k, PairMoments(0, 0, 0, 0, 0, 0))
-    }.toMap
+  def pairMoments(df: DataFrame, x: String, y: String): PairMoments = {
+    val xc = cleanNum(x); val yc = cleanNum(y)
+    val r = df.where(xc.isNotNull && yc.isNotNull)
+      .agg(count(lit(1)), sum(xc), sum(yc), sum(xc * xc), sum(yc * yc), sum(xc * yc))
+      .head()
+    PairMoments(getLong(r, 0), zeroIfNaN(getDouble(r, 1)), zeroIfNaN(getDouble(r, 2)),
+      zeroIfNaN(getDouble(r, 3)), zeroIfNaN(getDouble(r, 4)), zeroIfNaN(getDouble(r, 5)))
   }
 
   private def zeroIfNaN(d: Double): Double = if (d.isNaN) 0.0 else d

@@ -39,7 +39,7 @@ object Univariate {
     }
 
   def numeric(df: DataFrame, column: String, cfg: EdaConfig): NumericUnivariate = {
-    val s = SparkStage.columnAggregates(df, Seq(column), Nil, withDuplicates = false).numeric(column)
+    val s = SparkStage.numericStats(df, Seq(column))(column)
     fromStats(s, cfg, SparkStage.histograms(df, Seq(s).filter(_.count > 0), cfg.int("hist.bins")))
   }
 
@@ -58,8 +58,7 @@ object Univariate {
   }
 
   def categorical(df: DataFrame, column: String, cfg: EdaConfig): CategoricalUnivariate = {
-    val s = SparkStage.columnAggregates(df, Nil, Seq(column), withDuplicates = false)
-      .categorical(column)
+    val s = SparkStage.categoricalStats(df, Seq(column))(column)
     fromCatStats(s, cfg, SparkStage.frequencies(df, Seq(column), cfg.int("freq.maxdistinct")),
       SparkStage.wordFrequencies(df, column, cfg.int("wordfreq.topk")))
   }

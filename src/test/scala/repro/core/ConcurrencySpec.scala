@@ -51,9 +51,11 @@ class ConcurrencySpec extends SparkSpec {
 
   /** SparkStage's reductions, but `frequencies` fails with `error`. */
   private def failingFrequencies(error: Exception): Reductions = new Reductions {
-    def columnAggregates(df: DataFrame, numCols: Seq[String], catCols: Seq[String],
-                         withDuplicates: Boolean): SparkStage.TableAggregates =
-      SparkStage.columnAggregates(df, numCols, catCols, withDuplicates)
+    def numericStats(df: DataFrame, cols: Seq[String]): Map[String, NumericStats] =
+      SparkStage.numericStats(df, cols)
+    def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats] =
+      SparkStage.categoricalStats(df, cols)
+    def tableCounts(df: DataFrame): (Long, Long) = SparkStage.tableCounts(df)
     def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn] =
       SparkStage.histograms(df, stats, bins)
     def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =

@@ -75,9 +75,10 @@ class OverviewSpec extends SparkSpec with TestHelpers {
   }
 
   test("fromAggregates honors shared reductions (no recompute)") {
-    val aggs = SparkStage.columnAggregates(df, Seq("x", "y"), Seq("c"))
+    val numeric = SparkStage.numericStats(df, Seq("x", "y"))
     val myHist = Map("x" -> Intermediates.Histogram("x", Array(0.0, 1.0), Array(1L)))
-    val ov = Overview.fromAggregates(cfg, Seq("x", "y"), Seq("c"), aggs,
+    val ov = Overview.fromAggregates(cfg, Seq("x", "y").map(numeric),
+      Seq(SparkStage.categoricalStats(df, Seq("c"))("c")), SparkStage.tableCounts(df),
       myHist, Map("c" -> Seq(("z", 9L))))
     assert(ov.histograms eq myHist)
     assert(ov.frequencies("c").topK == Seq(("z", 9L)))

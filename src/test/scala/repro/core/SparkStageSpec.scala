@@ -22,15 +22,15 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     (Option(10.5), Option("a")),
   ).toDF("x", "s").cache()
 
-  private lazy val aggs = SparkStage.columnAggregates(df, Seq("x"), Seq("s"))
-  private lazy val xs = aggs.numeric("x")
-  private lazy val ss = aggs.categorical("s")
+  private lazy val xs = SparkStage.numericStats(df, Seq("x"))("x")
+  private lazy val ss = SparkStage.categoricalStats(df, Seq("s"))("s")
+  private lazy val counts = SparkStage.tableCounts(df)
 
   /** Pass-1 stats of numeric columns of `d`, the literals of the binned reductions. */
-  private def statsOf(d: DataFrame, cols: String*): Seq[NumericStats] = {
-    val a = SparkStage.columnAggregates(d, cols, Nil, withDuplicates = false)
-    cols.map(a.numeric)
-  }
+  private def statsOf(d: DataFrame, cols: String*): Seq[NumericStats] =
+    cols.map(SparkStage.numericStats(d, cols))
+
+  // Pass 1, the column aggregates: numericStats, categoricalStats and tableCounts.
 
   test("columnAggregates: count and missing match DuckDB") {
     val got = Seq((xs.count, xs.missing)).toDF("cnt", "mis")
@@ -62,12 +62,11 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   }
 
   test("columnAggregates: row count and duplicate rows") {
-    assert(aggs.rows == 7)
-    assert(aggs.duplicateRows == 1)
+    assert(counts == ((7L, 1L)))
   }
 
   test("columnAggregates: duplicate rows match DuckDB distinct") {
-    val got = Seq((aggs.rows, aggs.duplicateRows)).toDF("r", "dup")
+    val got = Seq(counts).toDF("r", "dup")
     Oracle.assertEquivalent(got,
       "SELECT (SELECT count(*) FROM t) AS r, " +
       "(SELECT count(*) FROM t) - (SELECT count(*) FROM (SELECT DISTINCT x, s FROM t) q) AS dup",
@@ -81,7 +80,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("columnAggregates: median from the percentile grid is exact on odd data") {
     val odd = Seq(5.0, 1.0, 3.0, 9.0, 7.0).toDF("x")
-    val s = SparkStage.columnAggregates(odd, Seq("x"), Nil).numeric("x")
+    val s = SparkStage.numericStats(odd, Seq("x"))("x")
     assert(s.median == 5.0)
     assert(s.percentiles.head == 1.0 && s.percentiles.last == 9.0)
   }
@@ -106,7 +105,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("columnAggregates: NaN counts as missing, infinity counted separately") {
     val special = Seq(1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, 5.0).toDF("x")
-    val s = SparkStage.columnAggregates(special, Seq("x"), Nil).numeric("x")
+    val s = SparkStage.numericStats(special, Seq("x"))("x")
     assert(s.count == 2)       // finite values only
     assert(s.missing == 1)     // the NaN
     assert(s.infinites == 2)
@@ -117,9 +116,8 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("columnAggregates: empty DataFrame") {
     val empty = Seq.empty[Double].toDF("x")
-    val a = SparkStage.columnAggregates(empty, Seq("x"), Nil)
-    assert(a.rows == 0)
-    val s = a.numeric("x")
+    assert(SparkStage.tableCounts(empty) == ((0L, 0L)))
+    val s = SparkStage.numericStats(empty, Seq("x"))("x")
     assert(s.count == 0 && s.missing == 0 && s.mean.isNaN && s.percentiles.isEmpty)
   }
 
@@ -136,15 +134,20 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     val empty = t.where(lit(false))
     val lists = Seq((Seq("x", "i"), Nil), (Seq("dead"), Nil), (Seq("d"), Nil), (Nil, Seq("s")),
       (Seq("dead", "x"), Seq("s")), (Seq("i", "d"), Seq("s")), (Nil, Nil))
-    for (d <- Seq(t, empty); (num, cat) <- lists)
-      assert(SparkStage.columnAggregates(d, num, cat).rows == d.count(), (num, cat))
+    for (d <- Seq(t, empty)) assert(SparkStage.tableCounts(d)._1 == d.count())
+    for (d <- Seq(t, empty); (num, cat) <- lists) {
+      val totals = SparkStage.numericStats(d, num).values.map(_.total) ++
+        SparkStage.categoricalStats(d, cat).values.map(_.total)
+      assert(totals.forall(_ == d.count()), (num, cat))
+    }
+    assert(SparkStage.tableCounts(spark.range(5).select()) == ((5L, 0L)))
     val noColumns = Overview.compute(spark.range(5).select(), EdaConfig.default).dataset
     assert(noColumns.rows == 5 && noColumns.duplicateRows == 0)
   }
 
   test("columnAggregates: single-row DataFrame") {
     val one = Seq(42.0).toDF("x")
-    val s = SparkStage.columnAggregates(one, Seq("x"), Nil).numeric("x")
+    val s = SparkStage.numericStats(one, Seq("x"))("x")
     assert(s.count == 1 && s.mean == 42.0 && s.min == 42.0 && s.max == 42.0)
     assert(s.std.isNaN) // sample stddev of one value
   }
@@ -234,35 +237,35 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(w.totalWords == 6)
   }
 
+  test("wordFrequencies: totalWords counts every word, not only the most frequent") {
+    val d = ((1 to 1500).map(i => s"once$i") ++ Seq.fill(1500)("often")).toDF("txt")
+    val w = SparkStage.wordFrequencies(d, "txt", 10)
+    assert(w.topK.head == ("often", 1500L) && w.topK.size == 10)
+    assert(w.totalWords == 3000)
+    val empty = SparkStage.wordFrequencies(d.where(lit(false)), "txt", 10)
+    assert(empty.topK.isEmpty && empty.totalWords == 0)
+  }
+
   // ---------------------------------------------------------------------
 
-  test("pairwiseMoments: pearson matches DuckDB corr") {
+  test("pairMoments: pearson matches DuckDB corr") {
     val d2 = Seq((1.0, 2.1), (2.0, 3.9), (3.0, 6.2), (4.0, 8.1), (5.0, 9.7)).toDF("x", "y")
-    val m = SparkStage.pairwiseMoments(d2, Seq(("x", "y")))(("x", "y"))
+    val m = SparkStage.pairMoments(d2, "x", "y")
     val got = Seq(Tuple1(m.pearson)).toDF("r")
     Oracle.assertEquivalent(got,
       "SELECT corr(CAST(x AS DOUBLE), CAST(y AS DOUBLE)) AS r FROM t", "t" -> d2)
   }
 
-  test("pairwiseMoments: pairwise-complete deletion on nulls") {
+  test("pairMoments: pairwise-complete deletion on nulls") {
     val d2 = Seq(
       (Option(1.0), Option(1.0)), (Option(2.0), None),
       (None: Option[Double], Option(3.0)), (Option(4.0), Option(4.0)),
       (Option(5.0), Option(6.0)),
     ).toDF("x", "y")
-    val m = SparkStage.pairwiseMoments(d2, Seq(("x", "y")))(("x", "y"))
+    val m = SparkStage.pairMoments(d2, "x", "y")
     assert(m.n == 3) // rows where both present
     assertApprox(m.pearson,
       LocalStats.pearsonArrays(Array(1.0, 4.0, 5.0), Array(1.0, 4.0, 6.0)), 1e-9, "pairwise pearson")
-  }
-
-  test("pairwiseMoments: many pairs in one action") {
-    val d3 = Seq((1.0, 2.0, -1.0), (2.0, 4.0, -2.0), (3.0, 6.5, -3.5)).toDF("a", "b", "c")
-    val pairs = Seq(("a", "b"), ("a", "c"), ("b", "c"))
-    val ms = SparkStage.pairwiseMoments(d3, pairs)
-    assert(ms.size == 3)
-    assert(ms(("a", "b")).pearson > 0.99)
-    assert(ms(("a", "c")).pearson < -0.99)
   }
 
   test("collectNumericMatrix: column-major values with NaN for null") {

@@ -49,9 +49,8 @@ class EdaDataSpec extends SparkSpec with TestHelpers {
 
   test("numeric columns mix distribution families") {
     val df = EdaData.dataset(spark, 5000, 5, 0, seed = 4).cache()
-    val aggs = repro.core.SparkStage.columnAggregates(df,
-      (0 until 5).map(i => s"num_$i"), Nil)
-    val skews = (0 until 5).map(i => aggs.numeric(s"num_$i").skewness)
+    val stats = repro.core.SparkStage.numericStats(df, (0 until 5).map(i => s"num_$i"))
+    val skews = (0 until 5).map(i => stats(s"num_$i").skewness)
     assert(math.abs(skews(0)) < 0.5)  // normal-ish
     assert(skews(2) > 1.0)            // lognormal
     assert(skews(3) > 1.0)            // power-skewed
@@ -59,9 +58,8 @@ class EdaDataSpec extends SparkSpec with TestHelpers {
 
   test("categorical cardinalities cycle as documented") {
     val df = EdaData.dataset(spark, 5000, 0, 5, seed = 4).cache()
-    val aggs = repro.core.SparkStage.columnAggregates(df, Nil,
-      (0 until 5).map(i => s"cat_$i"))
-    val d = (0 until 5).map(i => aggs.categorical(s"cat_$i").distinct)
+    val stats = repro.core.SparkStage.categoricalStats(df, (0 until 5).map(i => s"cat_$i"))
+    val d = (0 until 5).map(i => stats(s"cat_$i").distinct)
     assert(d(0) <= 2 && d(1) <= 5 && d(2) <= 12 && d(3) <= 30 && d(4) <= 120)
     assert(d(4) > 30) // actually exercises the high-cardinality regime
   }
