@@ -1,8 +1,8 @@
 package repro.bench
 
+import repro.SynthData
 import repro.core.{EdaConfig, Overview, SparkStage}
 import repro.baseline.ProfilingBaseline
-import repro.data.EdaData
 
 /** Figure 6(a) reproduction (as a table) — substituted per DESIGN.md: the
   * paper compares Dask / Modin / Koalas / PySpark computing the
@@ -23,7 +23,7 @@ class EngineStrategyBench extends BenchHarness {
   test("Figure 6(a): graph structure drives the engine gap on plot(df)") {
     warmUp()
     val cfg = EdaConfig.default
-    val df = materialize(EdaData.bitcoinLike(spark, rows))
+    val df = materialize(SynthData.bitcoinLike(spark, rows))
     val numCols = df.columns.toSeq
 
     val (_, tFused) = time(Overview.compute(df, cfg))

@@ -1,8 +1,8 @@
 package repro.bench
 
+import repro.SynthData
 import repro.core.{Eda, EdaConfig}
 import repro.baseline.ProfilingBaseline
-import repro.data.EdaData
 
 /** Figure 6(b) reproduction (as a table): create_report on the bitcoin-like
   * dataset, varying the row count, DataPrep.EDA vs the eager baseline.
@@ -28,7 +28,7 @@ class ScalingBench extends BenchHarness {
     val cfg = EdaConfig.from(config)
 
     val results = sizes.map { n =>
-      val df = materialize(EdaData.bitcoinLike(spark, n))
+      val df = materialize(SynthData.bitcoinLike(spark, n))
       val (_, tFast) = time(Eda.computeReportIntermediates(df, cfg))
       val (_, tSlow) = time(ProfilingBaseline.computeReportIntermediates(df, cfg))
       df.unpersist()

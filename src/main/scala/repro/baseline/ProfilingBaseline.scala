@@ -15,10 +15,10 @@ import repro.core.Intermediates._
   * across visualizations. This object reproduces that execution shape on
   * Spark as an implementation of `Reductions` — one Spark action per
   * statistic per column, one action per correlation pair per method, one
-  * per interaction grid, one per nullity pair — and holds no assembly
-  * code: its report comes from the same `Eda.computeReportIntermediates(df,
-  * cfg, r)` as the fused one, so the Table 2 comparison measures execution
-  * strategy, not differing work.
+  * per interaction grid, one per pair of columns that both have missing
+  * values — and holds no assembly code: its report comes from the same
+  * `Eda.computeReportIntermediates(df, cfg, r)` as the fused one, so the
+  * Table 2 comparison measures execution strategy, not differing work.
   * Its Pearson coefficients come from per-pair moments rather than the
   * collected sample, so the cross-check suite still compares two
   * computations.
@@ -123,20 +123,27 @@ object ProfilingBaseline extends Reductions {
   }
 
   /** One action per column for the bar chart, one spectrum reduction per
-    * column, one both-missing action per nullity pair.
+    * column, and one both-missing action per pair of columns that both have
+    * missing values (0 for any other pair, with no action).
     */
-  def missing(df: DataFrame, cols: Seq[String],
-              nBuckets: Int): (Long, Seq[Long], MissingSpectrum, (Int, Int) => Long) = {
+  def missing(df: DataFrame, cols: Seq[String], nBuckets: Int): Missing.MissingCounts = {
     val missingCounts = cols.map(c => firstLong(df, count(when(SparkStage.isMissing(df, c), 1))))
-    val patterns = cols.map(c => SparkStage.missingPatterns(df, Seq(c), nBuckets))
-    val spectra = patterns.map(_.spectrum)
+    val perColumn = cols.map(c => SparkStage.missing(df, Seq(c), nBuckets))
+    val spectra = perColumn.map(_.spectrum)
     val buckets = spectra.headOption.map(_.buckets).getOrElse(Nil)
     val fractions = Array.tabulate(buckets.size, cols.size)((b, c) => spectra(c).missingFraction(b)(0))
+    val both = Array.ofDim[Long](cols.size, cols.size)
+    for (i <- cols.indices) {
+      both(i)(i) = missingCounts(i)
+      for (j <- i + 1 until cols.size if missingCounts(i) > 0 && missingCounts(j) > 0) {
+        both(i)(j) = firstLong(df, count(when(
+          SparkStage.isMissing(df, cols(i)) && SparkStage.isMissing(df, cols(j)), 1)))
+        both(j)(i) = both(i)(j)
+      }
+    }
     // each column's reduction counts the rows; only a table with no columns needs a count
-    val rows = patterns.headOption.fold(df.count())(_.rows)
-    (rows, missingCounts, MissingSpectrum(cols, buckets, fractions),
-      (i, j) => firstLong(df, count(when(
-        SparkStage.isMissing(df, cols(i)) && SparkStage.isMissing(df, cols(j)), 1))))
+    Missing.MissingCounts(perColumn.headOption.fold(df.count())(_.rows), both,
+      MissingSpectrum(cols, buckets, fractions))
   }
 
   /** The eager profile report: the same intermediates as the fused path. */

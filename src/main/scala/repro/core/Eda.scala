@@ -89,9 +89,10 @@ object Eda {
     *     job), shared by the Overview section, every Variables section and
     *     the correlation variance bookkeeping; one job for all frequency
     *     tables; and, for missing values, one row-count job and one
-    *     `groupBy(spectrum bucket, missing pattern)` job (bar counts,
-    *     spectrum, nullity correlation and dendrogram all come from the
-    *     pattern counts);
+    *     `groupBy(spectrum bucket, missing pattern)` job, read into the row
+    *     count, the spectrum and the both-missing count of every column pair
+    *     (bar counts, nullity correlation and dendrogram all come from that
+    *     count matrix);
     *  2. wave 2, the reductions whose plans take literals from pass 1: one
     *     job for all histograms with their outlier counts, one for all
     *     `report.interactions` 2-D grids, and one reduce-to-driver collect
@@ -113,7 +114,7 @@ object Eda {
     val catCols = TypeDetector.categoricalColumns(df)
     val cols = df.columns.toSeq
 
-    val (numeric, categorical, counts, freqs, (rows, missingCounts, spectrum, bothMissing)) = concurrently(
+    val (numeric, categorical, counts, freqs, missingCounts) = concurrently(
       r.numericStats(df, numCols),
       r.categoricalStats(df, catCols),
       r.tableCounts(df),
@@ -139,7 +140,7 @@ object Eda {
       numStats.map(Univariate.fromStats(_, cfg, binned)) ++
         catStats.map(s => Univariate.fromCatStats(s, cfg, freqs, WordFrequencies(s.name, Nil, 0L)))
     val correlations = Correlation.matrixFromAggregates(corrCols, numeric, coefficients, cfg)
-    val missing = Missing.assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
+    val missing = Missing.assembleOverview(cols, missingCounts, cfg)
 
     ReportIntermediates(overview, variables, interactions, correlations, missing)
   }

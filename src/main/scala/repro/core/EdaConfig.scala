@@ -25,7 +25,6 @@ final case class EdaConfig(entries: Map[String, Any]) {
     case l: Long   => l.toDouble
     case other => throw new IllegalArgumentException(s"config $key: expected Double, got $other")
   }
-  def string(key: String): String = entries(key).toString
   def strings(key: String): Seq[String] = entries(key) match {
     case s: Seq[_] => s.map(_.toString)
     case other => throw new IllegalArgumentException(s"config $key: expected Seq[String], got $other")

@@ -15,20 +15,26 @@ final case class Insight(kind: String, columns: Seq[String], message: String, va
   */
 object Insights {
 
+  /** Column `c` misses more than the missing threshold of its rows. */
+  def missing(c: String, fraction: Double, cfg: EdaConfig): Option[Insight] =
+    Option.when(fraction > cfg.double("insight.missing.threshold"))(Insight("missing", Seq(c),
+      f"$c has ${fraction * 100}%.1f%% missing values", fraction))
+
+  /** The "constant" and "unique" insights of a column with `count` present
+    * values of which `distinct` differ.
+    */
+  private def distinctness(c: String, count: Long, distinct: Long): Seq[Insight] =
+    Option.when(distinct == 1 && count > 0)(Insight("constant", Seq(c), s"$c is constant", 1.0)).toSeq ++
+      Option.when(count > 1 && distinct == count)(Insight("unique", Seq(c), s"$c has all-distinct values", 1.0))
+
   def numeric(s: NumericStats, hist: Option[Histogram], outliers: Long,
               cfg: EdaConfig): Seq[Insight] = {
     val out = scala.collection.mutable.ArrayBuffer[Insight]()
-    val missingT = cfg.double("insight.missing.threshold")
-    if (s.missingFraction > missingT)
-      out += Insight("missing", Seq(s.name),
-        f"${s.name} has ${s.missingFraction * 100}%.1f%% missing values", s.missingFraction)
+    out ++= missing(s.name, s.missingFraction, cfg)
     if (s.infinites > 0)
       out += Insight("infinite", Seq(s.name),
         s"${s.name} has ${s.infinites} infinite values", s.infinites.toDouble)
-    if (s.distinct == 1 && s.count > 0)
-      out += Insight("constant", Seq(s.name), s"${s.name} is constant", 1.0)
-    if (s.count > 1 && s.distinct == s.count)
-      out += Insight("unique", Seq(s.name), s"${s.name} has all-distinct values", 1.0)
+    out ++= distinctness(s.name, s.count, s.distinct)
     val skewT = cfg.double("insight.skew.threshold")
     if (!s.skewness.isNaN && math.abs(s.skewness) > skewT)
       out += Insight("skewed", Seq(s.name),
@@ -60,14 +66,8 @@ object Insights {
 
   def categorical(s: CategoricalStats, cfg: EdaConfig): Seq[Insight] = {
     val out = scala.collection.mutable.ArrayBuffer[Insight]()
-    val missingT = cfg.double("insight.missing.threshold")
-    if (s.missingFraction > missingT)
-      out += Insight("missing", Seq(s.name),
-        f"${s.name} has ${s.missingFraction * 100}%.1f%% missing values", s.missingFraction)
-    if (s.distinct == 1 && s.count > 0)
-      out += Insight("constant", Seq(s.name), s"${s.name} is constant", 1.0)
-    if (s.count > 1 && s.distinct == s.count)
-      out += Insight("unique", Seq(s.name), s"${s.name} has all-distinct values", 1.0)
+    out ++= missing(s.name, s.missingFraction, cfg)
+    out ++= distinctness(s.name, s.count, s.distinct)
     val cardT = cfg.int("insight.cardinality.threshold")
     if (s.distinct > cardT)
       out += Insight("high-cardinality", Seq(s.name),

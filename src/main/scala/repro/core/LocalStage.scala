@@ -2,7 +2,7 @@ package repro.core
 
 import repro.core.Intermediates._
 import repro.stats.{Kde, LocalStats}
-import repro.stats.LocalStats.{PairMoments, SortedColumn}
+import repro.stats.LocalStats.SortedColumn
 
 /** The local stage of the Compute module (Section 5.2's "Pandas
   * computation"): plain Scala over the small results the distributed stage
@@ -135,23 +135,5 @@ object LocalStage {
       }
     }
     ContingencyTable(c1, c2, rows, cols, counts)
-  }
-
-  /** Nullity-disagreement distance matrix for the missing dendrogram: the
-    * fraction of rows where exactly one of the two columns is missing,
-    * derived from indicator pair moments (0/1 values ⇒ disagreements =
-    * sx + sy − 2·sxy).
-    */
-  def nullityDistances(cols: Seq[String], rows: Long,
-                       moments: Map[(String, String), PairMoments]): Array[Array[Double]] = {
-    val m = cols.size
-    val dist = Array.ofDim[Double](m, m)
-    for (i <- 0 until m; j <- i + 1 until m) {
-      val pm = moments((cols(i), cols(j)))
-      val disagreements = pm.sx + pm.sy - 2 * pm.sxy
-      val d = if (rows == 0) 0.0 else disagreements / rows
-      dist(i)(j) = d; dist(j)(i) = d
-    }
-    dist
   }
 }

@@ -9,9 +9,10 @@ import repro.stats.LocalStats.PairMoments
 /** Missing-value task — plot_missing(df[, col1[, col2]]) (Figure 2).
   *
   * Overview: bar chart of missing counts, missing spectrum, nullity
-  * correlation heatmap, dendrogram — all derived locally from the row
-  * count of every (spectrum bucket, missing pattern). The heatmap and the
-  * dendrogram share the nullity sums those pattern counts give.
+  * correlation heatmap, dendrogram — all derived locally from one
+  * `MissingCounts`: the row count, the spectrum and the both-missing count
+  * of every column pair, whose diagonal is the bar chart and which the
+  * heatmap and the dendrogram share.
   *
   * Impact (col1): the distribution of every other column before vs. after
   * dropping the rows where col1 is missing — ALL columns in one histogram
@@ -49,45 +50,49 @@ object Missing {
       frequencies: Option[ImpactFrequencies],
       insights: Seq[Insight])
 
-  /** plot_missing(df): one `missingPatterns` reduction, two Spark jobs. */
+  /** The missing-value counts of a table's columns: its row count, the
+    * rows where columns i and j are both missing (`both(i)(i)` is column
+    * i's missing count) and the missing spectrum.
+    */
+  final case class MissingCounts(rows: Long, both: Array[Array[Long]], spectrum: MissingSpectrum)
+
+  /** plot_missing(df): one `SparkStage.missing` reduction, two Spark jobs. */
   def overview(df: DataFrame, cfg: EdaConfig): MissingOverviewIntermediates = {
     val cols = df.columns.toSeq
-    val (rows, missingCounts, spectrum, bothMissing) =
-      SparkStage.missing(df, cols, cfg.int("spectrum.bins"))
-    assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
+    assembleOverview(cols, SparkStage.missing(df, cols, cfg.int("spectrum.bins")), cfg)
   }
 
-  /** The overview from the row count, each column's missing count, the
-    * spectrum and the both-missing count of columns i and j (asked only for
-    * nullity-matrix pairs). Columns with no missing values stay in the bar
-    * chart and spectrum but — like missingno — leave the nullity matrix and
-    * dendrogram unless fewer than two columns have any missing. For 0/1
-    * indicators Σx = Σx² = missing count and Σxy = both-missing count.
+  /** The overview from the missing counts of `cols`. Columns with no
+    * missing values stay in the bar chart and spectrum but — like
+    * missingno — leave the nullity matrix and dendrogram unless fewer than
+    * two columns have any missing. For 0/1 indicators Σx = Σx² = missing
+    * count and Σxy = both-missing count; the dendrogram distance is the
+    * fraction of rows where exactly one of the two is missing.
     */
-  def assembleOverview(cols: Seq[String], rows: Long, missingCounts: Seq[Long],
-                       spectrum: MissingSpectrum, bothMissing: (Int, Int) => Long,
-                       cfg: EdaConfig): MissingOverviewIntermediates = {
+  def assembleOverview(cols: Seq[String], counts: MissingCounts, cfg: EdaConfig): MissingOverviewIntermediates = {
+    val MissingCounts(rows, both, spectrum) = counts
+    val missingCounts = cols.indices.map(i => both(i)(i))
     val bar = MissingBarChart(cols, missingCounts, rows)
     val missingOf = cols.zip(missingCounts).toMap
     val withMissing = cols.indices.filter(missingCounts(_) > 0)
     val nullity = if (withMissing.size >= 2) withMissing else cols.indices
     val nullityCols = nullity.map(cols)
-    val moments = (for (i <- nullity; j <- nullity if i < j) yield {
-      val (mi, mj) = (missingCounts(i).toDouble, missingCounts(j).toDouble)
-      (cols(i), cols(j)) -> PairMoments(rows, mi, mj, mi, mj, bothMissing(i, j).toDouble)
-    }).toMap
+    // i < j always: pearson is not bit-symmetric in its arguments
     val nullityCorr = LocalStage.correlationMatrix("nullity", nullityCols,
-      moments.map { case (p, m) => p -> m.pearson },
+      (for (i <- nullity; j <- nullity if i < j) yield {
+        val (mi, mj) = (missingCounts(i).toDouble, missingCounts(j).toDouble)
+        (cols(i), cols(j)) -> PairMoments(rows, mi, mj, mi, mj, both(i)(j).toDouble).pearson
+      }).toMap,
       hasVariance = c => missingOf(c) > 0 && missingOf(c) < rows)
-    val distances = LocalStage.nullityDistances(nullityCols, rows, moments)
-    val dendrogram = MissingDendrogram(nullityCols,
-      Dendrogram.singleLinkage(nullityCols, distances))
+    val distances = Array.tabulate(nullity.size, nullity.size) { (a, b) =>
+      val (i, j) = (nullity(a), nullity(b))
+      if (i == j || rows == 0) 0.0
+      else (missingCounts(i).toDouble + missingCounts(j) - 2.0 * both(i)(j)) / rows
+    }
+    val dendrogram = MissingDendrogram(nullityCols, Dendrogram.singleLinkage(nullityCols, distances))
 
-    val missingT = cfg.double("insight.missing.threshold")
-    val insights = cols.zip(missingCounts).collect {
-      case (c, m) if rows > 0 && m.toDouble / rows > missingT =>
-        Insight("missing", Seq(c),
-          f"$c has ${m.toDouble / rows * 100}%.1f%% missing values", m.toDouble / rows)
+    val insights = cols.zip(missingCounts).flatMap { case (c, m) =>
+      Insights.missing(c, if (rows == 0) 0.0 else m.toDouble / rows, cfg)
     } ++ Insights.correlatedMissingness(nullityCorr, cfg)
 
     MissingOverviewIntermediates(bar, spectrum, nullityCorr, dendrogram, insights)

@@ -4,7 +4,8 @@ import org.apache.spark.sql.DataFrame
 import repro.core.Intermediates._
 
 /** The reductions the profile report is assembled from, one method per
-  * kind; each returns the raw result. `SparkStage` fuses each kind over
+  * kind; each returns plain values, so all of a reduction's work runs
+  * inside it. `SparkStage` fuses each kind over
   * every column or pair into O(1) Spark actions; the eager
   * `ProfilingBaseline` runs one action per statistic, column or pair. Both
   * feed the one assembly, `Eda.computeReportIntermediates(df, cfg, r)`, so
@@ -35,9 +36,9 @@ private[repro] trait Reductions {
   def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
                    maxRows: Long): Map[String, Map[(String, String), Double]]
 
-  /** (rows, missing count per column, spectrum, both-missing count of columns
-    * i and j): the inputs of `Missing.assembleOverview`.
+  /** The row count, the both-missing count of every pair of `cols` (the
+    * diagonal: each column's missing count) and the missing spectrum: the
+    * input of `Missing.assembleOverview`.
     */
-  def missing(df: DataFrame, cols: Seq[String],
-              nBuckets: Int): (Long, Seq[Long], MissingSpectrum, (Int, Int) => Long)
+  def missing(df: DataFrame, cols: Seq[String], nBuckets: Int): Missing.MissingCounts
 }

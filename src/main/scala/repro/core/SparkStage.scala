@@ -14,7 +14,7 @@ import repro.stats.LocalStats.PairMoments
   * Design rule, mirroring the paper's single-graph optimization: one
   * reduction per kind, each running O(1) Spark actions however many
   * columns or pairs it covers — one action for most, two for
-  * `numericStats` and for `missingPatterns`. Multi-column work is fused
+  * `numericStats` and for `missing`. Multi-column work is fused
   * into `posexplode → groupBy(columnIndex, …)` jobs, so the
   * aggregate-expression set stays constant-size whatever the width. Values
   * the plan needs as literals (bin widths, Tukey fences) come from a prior
@@ -31,6 +31,9 @@ object SparkStage extends Reductions {
     (0.0 +: (1 to 99).map(_ / 100.0) :+ 1.0).toArray
 
   private val PercentileAccuracy = 10000
+
+  /** Seed of the row samples (correlation matrix, scatter points). */
+  private val SampleSeed = 42L
 
   /** Approximate quantiles of `x` at `probs`, at one accuracy everywhere. */
   private[repro] def quantiles(x: Column, probs: Array[Double]): Column =
@@ -283,16 +286,19 @@ object SparkStage extends Reductions {
   }
 
   /** Sufficient statistics of (x, y) over the rows where both are present,
-    * one six-expression agg. Feeds the regression line and the exact
-    * Pearson r of a pair.
+    * and whether each side varies there, one eight-expression agg. Feeds
+    * the regression line and the exact Pearson r of a pair.
     */
   def pairMoments(df: DataFrame, x: String, y: String): PairMoments = {
     val xc = cleanNum(x); val yc = cleanNum(y)
     val r = df.where(xc.isNotNull && yc.isNotNull)
-      .agg(count(lit(1)), sum(xc), sum(yc), sum(xc * xc), sum(yc * yc), sum(xc * yc))
+      .agg(count(lit(1)), sum(xc), sum(yc), sum(xc * xc), sum(yc * yc), sum(xc * yc),
+        min(xc) < max(xc), min(yc) < max(yc))
       .head()
+    def varies(i: Int): Boolean = !r.isNullAt(i) && r.getBoolean(i)
     PairMoments(getLong(r, 0), zeroIfNaN(getDouble(r, 1)), zeroIfNaN(getDouble(r, 2)),
-      zeroIfNaN(getDouble(r, 3)), zeroIfNaN(getDouble(r, 4)), zeroIfNaN(getDouble(r, 5)))
+      zeroIfNaN(getDouble(r, 3)), zeroIfNaN(getDouble(r, 4)), zeroIfNaN(getDouble(r, 5)),
+      varies(6), varies(7))
   }
 
   private def zeroIfNaN(d: Double): Double = if (d.isNaN) 0.0 else d
@@ -302,11 +308,11 @@ object SparkStage extends Reductions {
     * arrays aligned with `cols`; nulls arrive as NaN.
     */
   def collectNumericMatrix(df: DataFrame, cols: Seq[String], totalRows: Long,
-                           maxRows: Long, seed: Long = 42): Array[Array[Double]] = {
+                           maxRows: Long): Array[Array[Double]] = {
     val proj = df.select(cols.map(c => coalesce(cleanNum(c), lit(Double.NaN))): _*)
     val sampled =
       if (totalRows > maxRows && totalRows > 0)
-        proj.sample(withReplacement = false, maxRows.toDouble / totalRows, seed)
+        proj.sample(withReplacement = false, maxRows.toDouble / totalRows, SampleSeed)
       else proj
     val rows = sampled.collect()
     val out = Array.fill(cols.size)(new Array[Double](rows.length))
@@ -332,45 +338,16 @@ object SparkStage extends Reductions {
   // Missing-value reductions.
   // ---------------------------------------------------------------------
 
-  /** Row count of every (spectrum bucket, missing pattern) of a table; bit
-    * i of a pattern's mask words is set where `columns(i)` is missing.
-    */
-  final case class MissingPatterns(columns: Seq[String], counts: Seq[(Int, IndexedSeq[Long], Long)]) {
-    private def missing(mask: IndexedSeq[Long], i: Int): Boolean = (mask(i >>> 6) >>> (i & 63) & 1L) != 0
-
-    def rows: Long = counts.map(_._3).sum
-
-    /** Rows where columns i and j are both missing (diagonal: missing counts). */
-    def bothMissing: Array[Array[Long]] = {
-      val both = Array.ofDim[Long](columns.size, columns.size)
-      counts.groupMapReduce(_._2)(_._3)(_ + _).foreach { case (mask, n) =>
-        val set = columns.indices.filter(missing(mask, _))
-        for (i <- set; j <- set) both(i)(j) += n
-      }
-      both
-    }
-
-    /** Missing fraction per column in each non-empty bucket, in row order. */
-    def spectrum: MissingSpectrum = {
-      val byBucket = counts.groupBy(_._1).toSeq.sortBy(_._1).map(_._2)
-      val sizes = byBucket.map(_.map(_._3).sum)
-      val starts = sizes.scanLeft(0L)(_ + _)
-      val fractions = byBucket.zip(sizes).map { case (grp, cnt) =>
-        Array.tabulate(columns.size)(i =>
-          grp.collect { case (_, mask, n) if missing(mask, i) => n }.sum.toDouble / cnt)
-      }.toArray
-      MissingSpectrum(columns, sizes.indices.map(b => (starts(b), starts(b + 1) - 1)), fractions)
-    }
-  }
-
-  /** Missing patterns of `cols` in two jobs, whatever the width: rows per
+  /** Missing counts of `cols` in two jobs, whatever the width: rows per
     * partition (partition = id >> 33 of `monotonically_increasing_id`), then
-    * one `groupBy(bucket, ⌈m/64⌉ mask words).count()`. A row's bucket is
+    * the row count of every (spectrum bucket, missing pattern) from one
+    * `groupBy(bucket, ⌈m/64⌉ mask words).count()`; bit i of a pattern's mask
+    * words is set where `cols(i)` is missing. A row's bucket is
     * `ntile(nBuckets)` of its global index offset(partition) + (id & (2³³ − 1)):
     * the first n mod b buckets hold ⌊n/b⌋ + 1 rows. Row order follows the
     * partition order, with no global window moving every row to one partition.
     */
-  def missingPatterns(df: DataFrame, cols: Seq[String], nBuckets: Int): MissingPatterns = {
+  def missing(df: DataFrame, cols: Seq[String], nBuckets: Int): Missing.MissingCounts = {
     val words = cols.zipWithIndex.grouped(64).map(_.map { case (c, i) =>
       when(isMissing(df, c), lit(1L << (i & 63))).otherwise(lit(0L))
     }.reduce(_ bitwiseOR _)).toSeq
@@ -396,17 +373,24 @@ object SparkStage extends Reductions {
       .otherwise(lit(r) + div(g - inLarger, math.max(q, 1L)))
     val clamped = least(lit(nBuckets - 1L), greatest(lit(0L), bucket)).cast("int")
 
-    val rows = withId.groupBy(clamped +: wordCols.map(col): _*).count().collect()
-    MissingPatterns(cols, rows.toSeq.map(row => (row.getInt(0),
-      IndexedSeq.tabulate(words.size)(w => row.getLong(w + 1)), row.getLong(words.size + 1))))
-  }
-
-  /** The missing overview's inputs from one `missingPatterns` reduction. */
-  def missing(df: DataFrame, cols: Seq[String],
-              nBuckets: Int): (Long, Seq[Long], MissingSpectrum, (Int, Int) => Long) = {
-    val patterns = missingPatterns(df, cols, nBuckets)
-    val both = patterns.bothMissing
-    (patterns.rows, both.indices.map(i => both(i)(i)), patterns.spectrum, both(_)(_))
+    // (bucket, columns missing in the pattern, rows)
+    val patterns = withId.groupBy(clamped +: wordCols.map(col): _*).count().collect().toSeq.map { row =>
+      (row.getInt(0), cols.indices.filter(i => (row.getLong(1 + (i >>> 6)) >>> (i & 63) & 1L) != 0),
+        row.getLong(words.size + 1))
+    }
+    val both = Array.ofDim[Long](cols.size, cols.size)
+    for ((_, set, rows) <- patterns; i <- set; j <- set) both(i)(j) += rows
+    // missing fraction per column in each non-empty bucket, in row order
+    val byBucket = patterns.groupBy(_._1).toSeq.sortBy(_._1).map(_._2)
+    val sizes = byBucket.map(_.map(_._3).sum)
+    val starts = sizes.scanLeft(0L)(_ + _)
+    val fractions = byBucket.zip(sizes).map { case (grp, size) =>
+      val missingRows = new Array[Long](cols.size)
+      for ((_, set, rows) <- grp; i <- set) missingRows(i) += rows
+      missingRows.map(_.toDouble / size)
+    }.toArray
+    Missing.MissingCounts(n, both,
+      MissingSpectrum(cols, sizes.indices.map(b => (starts(b), starts(b + 1) - 1)), fractions))
   }
 
   // ---------------------------------------------------------------------
@@ -503,11 +487,14 @@ object SparkStage extends Reductions {
       .map(r => (r.getString(0), r.getString(1), r.getLong(2))).toSeq
   }
 
-  /** Up to `n` (x, y) points for a scatter plot, one action. */
+  /** A seeded random sample of min(`n`, complete rows) (x, y) points for a
+    * scatter plot, one take-ordered action.
+    */
   def scatterSample(df: DataFrame, x: String, y: String, n: Int): Seq[(Double, Double)] = {
     val xc = cleanNum(x); val yc = cleanNum(y)
     df.where(xc.isNotNull && yc.isNotNull)
       .select(xc.as("x"), yc.as("y"))
+      .orderBy(rand(SampleSeed))
       .limit(n)
       .collect()
       .map(r => (r.getDouble(0), r.getDouble(1))).toSeq

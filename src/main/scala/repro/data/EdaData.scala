@@ -87,22 +87,4 @@ object EdaData {
   def dataset(spark: SparkSession, spec: DatasetSpec): DataFrame =
     dataset(spark, spec.rows, spec.nNumeric, spec.nCategorical,
       seed = spec.name.hashCode.toLong & 0xffff)
-
-  /** Bitcoin-like table (Section 6.2's large-data workload): 8 numeric
-    * columns shaped like minute-bar OHLCV market data.
-    */
-  def bitcoinLike(spark: SparkSession, rows: Long, seed: Long = 11): DataFrame = {
-    val ts = col("id").cast(DoubleType) * 60.0 + 1.325e9
-    val base = lit(100.0) + randn(seed) * 5
-    spark.range(rows).select(
-      ts.as("timestamp"),
-      round(base, 2).as("open"),
-      round(base + abs(randn(seed + 1)), 2).as("high"),
-      round(base - abs(randn(seed + 2)), 2).as("low"),
-      round(base + randn(seed + 3), 2).as("close"),
-      round(abs(randn(seed + 4)) * 10, 4).as("volume_btc"),
-      round(abs(randn(seed + 5)) * 1000, 4).as("volume_usd"),
-      round(base + randn(seed + 6) * 0.5, 4).as("weighted_price"),
-    )
-  }
 }

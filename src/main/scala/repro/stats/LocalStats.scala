@@ -9,12 +9,17 @@ package repro.stats
   */
 object LocalStats {
 
-  /** Sufficient statistics of one column pair over pairwise-complete rows. */
+  /** Sufficient statistics of one column pair over pairwise-complete rows.
+    * `xVaries`/`yVaries` say whether the column takes two distinct values
+    * there: from raw sums, n·Σx² − (Σx)² of a constant column keeps
+    * rounding residue, so its variance cannot tell.
+    */
   final case class PairMoments(n: Long, sx: Double, sy: Double,
-                               sxx: Double, syy: Double, sxy: Double) {
+                               sxx: Double, syy: Double, sxy: Double,
+                               xVaries: Boolean = true, yVaries: Boolean = true) {
     /** Pearson correlation; NaN when undefined (n<2 or zero variance). */
     def pearson: Double = {
-      if (n < 2) return Double.NaN
+      if (n < 2 || !xVaries || !yVaries) return Double.NaN
       val cov = n * sxy - sx * sy
       val vx  = n * sxx - sx * sx
       val vy  = n * syy - sy * sy
@@ -23,7 +28,7 @@ object LocalStats {
 
     /** Least-squares line y = slope * x + intercept; NaN when undefined. */
     def regression: (Double, Double) = {
-      if (n < 2) return (Double.NaN, Double.NaN)
+      if (n < 2 || !xVaries) return (Double.NaN, Double.NaN)
       val vx = n * sxx - sx * sx
       if (vx <= 0) return (Double.NaN, Double.NaN)
       val slope = (n * sxy - sx * sy) / vx
@@ -33,17 +38,24 @@ object LocalStats {
 
   /** Pearson's r over the rows where neither `x` nor `y` is NaN
     * (pairwise-complete deletion), summed in row order; NaN when undefined.
+    * A side varies when one of its values `!=` the first (so -0.0 ties
+    * with 0.0, as in the rank kernels).
     */
   def pearsonArrays(x: Array[Double], y: Array[Double]): Double = {
     require(x.length == y.length, "pearson: length mismatch")
     var n = 0L; var sx = 0.0; var sy = 0.0; var sxx = 0.0; var syy = 0.0; var sxy = 0.0
+    var x0 = 0.0; var y0 = 0.0; var xVaries = false; var yVaries = false
     var i = 0
     while (i < x.length) {
       val a = x(i); val b = y(i)
-      if (!a.isNaN && !b.isNaN) { n += 1; sx += a; sy += b; sxx += a * a; syy += b * b; sxy += a * b }
+      if (!a.isNaN && !b.isNaN) {
+        if (n == 0) { x0 = a; y0 = b }
+        else { xVaries ||= a != x0; yVaries ||= b != y0 }
+        n += 1; sx += a; sy += b; sxx += a * a; syy += b * b; sxy += a * b
+      }
       i += 1
     }
-    PairMoments(n, sx, sy, sxx, syy, sxy).pearson
+    PairMoments(n, sx, sy, sxx, syy, sxy, xVaries, yVaries).pearson
   }
 
   /** One column of the collected numeric matrix (NaN = missing), sorted

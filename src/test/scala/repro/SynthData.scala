@@ -8,7 +8,8 @@ import org.apache.spark.sql.types._
   *
   * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
   * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
-  * the DuckDB oracle sees identical input.
+  * the DuckDB oracle sees identical input. `bitcoinLike` is the
+  * large-data table of the scaling and engine-strategy benchmarks.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
@@ -96,6 +97,24 @@ object SynthData {
     spark.range(rows).select(
       (rand(seed) * nKeys + 1).cast(LongType) as "k",
       rand(seed + 1)                          as "v",
+    )
+  }
+
+  /** Bitcoin-like table (Section 6.2's large-data workload): 8 numeric
+    * columns shaped like minute-bar OHLCV market data.
+    */
+  def bitcoinLike(spark: SparkSession, rows: Long, seed: Long = 11): DataFrame = {
+    val ts = col("id").cast(DoubleType) * 60.0 + 1.325e9
+    val base = lit(100.0) + randn(seed) * 5
+    spark.range(rows).select(
+      ts.as("timestamp"),
+      round(base, 2).as("open"),
+      round(base + abs(randn(seed + 1)), 2).as("high"),
+      round(base - abs(randn(seed + 2)), 2).as("low"),
+      round(base + randn(seed + 3), 2).as("close"),
+      round(abs(randn(seed + 4)) * 10, 4).as("volume_btc"),
+      round(abs(randn(seed + 5)) * 1000, 4).as("volume_usd"),
+      round(base + randn(seed + 6) * 0.5, 4).as("weighted_price"),
     )
   }
 }

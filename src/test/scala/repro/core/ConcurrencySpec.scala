@@ -65,8 +65,7 @@ class ConcurrencySpec extends SparkSpec {
     def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
                      maxRows: Long): Map[String, Map[(String, String), Double]] =
       SparkStage.correlations(df, cols, rows, methods, maxRows)
-    def missing(df: DataFrame, cols: Seq[String],
-                nBuckets: Int): (Long, Seq[Long], MissingSpectrum, (Int, Int) => Long) =
+    def missing(df: DataFrame, cols: Seq[String], nBuckets: Int): Missing.MissingCounts =
       SparkStage.missing(df, cols, nBuckets)
   }
 

@@ -84,6 +84,18 @@ class CorrelationSpec extends SparkSpec with TestHelpers {
     }
   }
 
+  test("a constant column whose sums round has no pearson r and no regression line") {
+    // n·Σc² − (Σc)² of 0.1 on 43 rows is rounding residue, not 0
+    val d = (0 until 43).map(i => (0.1, i.toDouble)).toDF("c", "y")
+    val pearson = Correlation.matrix(d, cfg).matrices.find(_.method == "pearson").get
+    assert(pearson(0, 1).isNaN && pearson(1, 0).isNaN)
+    val pair = Correlation.pair(d, "c", "y", cfg)
+    assert(pair.coefficients("pearson").isNaN && pair.scatter.pearson.isNaN)
+    assert(pair.scatter.slope.isNaN && pair.scatter.intercept.isNaN)
+    val nn = Bivariate.numNum(d, "c", "y", cfg)
+    assert(nn.scatter.slope.isNaN && nn.scatter.intercept.isNaN)
+  }
+
   test("matrix: nulls are pairwise-deleted for pearson") {
     val d = Seq(
       (Option(1.0), Option(1.0), Option(9.0)),

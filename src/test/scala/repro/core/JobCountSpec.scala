@@ -52,12 +52,12 @@ class JobCountSpec extends SparkSpec {
     ("plot(df)", Eda.plot(_), 6),
     ("plot(df, num_0)", Eda.plot(_, "num_0"), 3),
     ("plot(df, cat_0)", Eda.plot(_, "cat_0"), 3),
-    ("plot(df, num_0, num_1)", Eda.plot(_, "num_0", "num_1"), 7),
+    ("plot(df, num_0, num_1)", Eda.plot(_, "num_0", "num_1"), 6),
     ("plot(df, cat_0, num_1)", Eda.plot(_, "cat_0", "num_1"), 4),
     ("plot(df, cat_0, cat_1)", Eda.plot(_, "cat_0", "cat_1"), 1),
     ("plotCorrelation(df)", Eda.plotCorrelation(_), 3),
     ("plotCorrelation(df, num_0)", Eda.plotCorrelation(_, "num_0"), 3),
-    ("plotCorrelation(df, num_0, num_1)", Eda.plotCorrelation(_, "num_0", "num_1"), 4),
+    ("plotCorrelation(df, num_0, num_1)", Eda.plotCorrelation(_, "num_0", "num_1"), 3),
     ("plotMissing(df, num_0)", Eda.plotMissing(_, "num_0"), 5),
     ("plotMissing(df, cat_0)", Eda.plotMissing(_, "cat_0"), 5),
     ("plotMissing(df, num_0, num_1)", Eda.plotMissing(_, "num_0", "num_1"), 5),

@@ -4,8 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 import repro.core.Intermediates._
-import repro.stats.{LocalStats, References}
-import repro.stats.LocalStats.PairMoments
+import repro.stats.{Dendrogram, LocalStats, References}
 
 /** Local-stage assembly (the paper's Pandas-computation analog). */
 class LocalStageSpec extends AnyFunSuite {
@@ -145,11 +144,15 @@ class LocalStageSpec extends AnyFunSuite {
     assert(t.counts(0)(0) == 5 && t.counts(0)(1) == 3 && t.counts(1)(0) == 2)
   }
 
-  test("nullityDistances: disagreement fraction from 0/1 moments") {
-    // indicators x=(1,1,0,0), y=(1,0,0,0): sx=2, sy=1, sxy=1 -> disagreements=1
-    val m = Map(("x", "y") -> PairMoments(4, 2, 1, 2, 1, 1))
-    val d = LocalStage.nullityDistances(Seq("x", "y"), 4, m)
-    assert(d(0)(1) == 0.25 && d(1)(0) == 0.25 && d(0)(0) == 0.0)
+  test("assembleOverview: dendrogram distance is the disagreement fraction of the counts") {
+    // indicators x=(1,1,0,0), y=(1,0,0,0): 2 + 1 - 2·1 = 1 disagreement in 4 rows
+    val counts = Missing.MissingCounts(4, Array(Array(2L, 1L), Array(1L, 1L)),
+      MissingSpectrum(Seq("x", "y"), Nil, Array.empty))
+    val ov = Missing.assembleOverview(Seq("x", "y"), counts, EdaConfig.default)
+    assert(ov.dendrogram.merges == Seq(Dendrogram.Merge(0, 1, 0.25, 2)))
+    assert(ov.bar.missingCounts == Seq(2L, 1L))
+    // 0/1 moments: (4·1 − 2·1) / √(4·2 − 2²) / √(4·1 − 1²)
+    assert(ov.nullityCorrelation(0, 1) == 2 / math.sqrt(4) / math.sqrt(3))
   }
 
   test("kdeCurve: shares the histogram reduction") {

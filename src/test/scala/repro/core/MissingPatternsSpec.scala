@@ -8,8 +8,9 @@ import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestHelpers}
 import repro.baseline.ProfilingBaseline
 
-/** The one-reduction missing overview against the eager baseline (bar counts
-  * exactly, spectra bucket by bucket, nullity correlation to 1e-9) and its
+/** The one-reduction missing overview against the eager baseline (both-missing
+  * counts and bar counts exactly, spectra bucket by bucket, nullity
+  * correlation to 1e-9) and its
   * spectrum against Spark's own `ntile` over the row order, on inputs that
   * stress the pattern reduction.
   */
@@ -26,9 +27,10 @@ class MissingPatternsSpec extends SparkSpec with TestHelpers {
   private def assertSameAsBaseline(df: DataFrame): Missing.MissingOverviewIntermediates = {
     val fast = Missing.overview(df, cfg)
     val cols = df.columns.toSeq
-    val (rows, missingCounts, spectrum, bothMissing) =
-      ProfilingBaseline.missing(df, cols, cfg.int("spectrum.bins"))
-    val slow = Missing.assembleOverview(cols, rows, missingCounts, spectrum, bothMissing, cfg)
+    val eager = ProfilingBaseline.missing(df, cols, cfg.int("spectrum.bins"))
+    assert(SparkStage.missing(df, cols, cfg.int("spectrum.bins")).both.map(_.toSeq).toSeq ==
+      eager.both.map(_.toSeq).toSeq)
+    val slow = Missing.assembleOverview(cols, eager, cfg)
     assert(fast.bar == slow.bar)
     val (a, b) = (fast.spectrum, slow.spectrum)
     assert(a.columns == b.columns && a.buckets == b.buckets)

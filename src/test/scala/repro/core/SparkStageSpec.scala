@@ -287,7 +287,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   // ---------------------------------------------------------------------
 
   test("missingSpectrum: per-column missing totals match the bar counts") {
-    val sp = SparkStage.missingPatterns(df, Seq("x", "s"), 3).spectrum
+    val sp = SparkStage.missing(df, Seq("x", "s"), 3).spectrum
     val missX = sp.buckets.indices.map(b =>
       sp.missingFraction(b)(0) * (sp.buckets(b)._2 - sp.buckets(b)._1 + 1)).sum
     val missS = sp.buckets.indices.map(b =>
@@ -297,7 +297,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   }
 
   test("missingSpectrum: buckets partition the rows") {
-    val sp = SparkStage.missingPatterns(df, Seq("x"), 3).spectrum
+    val sp = SparkStage.missing(df, Seq("x"), 3).spectrum
     assert(sp.buckets.head._1 == 0)
     assert(sp.buckets.last._2 == 6)
     assert(sp.buckets.sliding(2).forall(p => p(0)._2 + 1 == p(1)._1))
@@ -308,7 +308,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
       (Option(1.0), Option("a")), (None: Option[Double], Option("b")),
       (None: Option[Double], None: Option[String]), (Option(2.0), Option("c")),
     ).toDF("x", "s")
-    val both = SparkStage.missingPatterns(d, Seq("x", "s"), 3).bothMissing
+    val both = SparkStage.missing(d, Seq("x", "s"), 3).both
     val (sx, sy, sxy) = (both(0)(0), both(1)(1), both(0)(1))
     // indicators: x = (0,1,1,0), s = (0,0,1,0) -> disagreements = 1
     assert(sx == 2L && sy == 1L && sxy == 1L)
@@ -416,5 +416,12 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(pts.size == 2)
     val all = SparkStage.scatterSample(d2, "x", "y", 100)
     assert(all.size == 3)
+  }
+
+  test("scatterSample: a random sample, not the first rows of sorted input") {
+    val d2 = spark.range(10000).selectExpr("cast(id as double) as x", "cast(id as double) as y")
+    val pts = SparkStage.scatterSample(d2, "x", "y", 100)
+    assert(pts.size == 100 && pts.forall { case (x, y) => x == y })
+    assert(pts.map(_._1).max > 5000)
   }
 }

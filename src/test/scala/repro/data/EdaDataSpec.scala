@@ -1,6 +1,6 @@
 package repro.data
 
-import repro.{SparkSpec, TestHelpers}
+import repro.{SparkSpec, SynthData, TestHelpers}
 import repro.core.TypeDetector
 
 /** Synthetic Kaggle-shaped workload generators. */
@@ -79,7 +79,7 @@ class EdaDataSpec extends SparkSpec with TestHelpers {
   }
 
   test("bitcoinLike has 8 numeric OHLCV-shaped columns") {
-    val df = EdaData.bitcoinLike(spark, 1000)
+    val df = SynthData.bitcoinLike(spark, 1000)
     assert(df.columns.toSeq == Seq("timestamp", "open", "high", "low", "close",
       "volume_btc", "volume_usd", "weighted_price"))
     assert(TypeDetector.numericColumns(df).size == 8)
@@ -87,7 +87,7 @@ class EdaDataSpec extends SparkSpec with TestHelpers {
   }
 
   test("bitcoinLike high >= open >= low (generator invariant)") {
-    val rows = EdaData.bitcoinLike(spark, 500).collect()
+    val rows = SynthData.bitcoinLike(spark, 500).collect()
     rows.foreach { r =>
       val open = r.getDouble(1); val high = r.getDouble(2); val low = r.getDouble(3)
       assert(high >= open - 1e-9 && low <= open + 1e-9)

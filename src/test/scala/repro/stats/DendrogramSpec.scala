@@ -11,6 +11,22 @@ class DendrogramSpec extends AnyFunSuite {
     d
   }
 
+  /** Flat clusters obtained by cutting the dendrogram at `threshold`.
+    * Single-linkage merge distances are nondecreasing, so the cut applies
+    * the longest prefix of merges whose distance is <= threshold.
+    */
+  private def cut(m: Int, merges: Seq[Merge], threshold: Double): Seq[Set[Int]] = {
+    val clusters = scala.collection.mutable.Map[Int, Set[Int]]()
+    (0 until m).foreach(i => clusters(i) = Set(i))
+    var nextId = m
+    merges.takeWhile(_.distance <= threshold).foreach { mg =>
+      clusters(nextId) = clusters(mg.left) ++ clusters(mg.right)
+      clusters -= mg.left; clusters -= mg.right
+      nextId += 1
+    }
+    clusters.values.toSeq
+  }
+
   test("two leaves merge at their distance") {
     val merges = singleLinkage(Seq("a", "b"), mat((0, 1, 0.3))(2))
     assert(merges == Seq(Merge(0, 1, 0.3, 2)))
