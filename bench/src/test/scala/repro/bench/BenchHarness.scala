@@ -38,7 +38,7 @@ trait BenchHarness extends SparkSpec {
   def warmUp(): Unit = if (!warmedUp) {
     val tiny = materialize(EdaData.dataset(spark, 200, 3, 2))
     Eda.computeReportIntermediates(tiny, EdaConfig.default)
-    ProfilingBaseline.computeReportIntermediates(tiny, EdaConfig.default)
+    Eda.computeReportIntermediates(tiny, EdaConfig.default, ProfilingBaseline)
     tiny.unpersist()
     warmedUp = true
   }

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SynthData
+import repro.{PerPlot, SynthData}
 import repro.core.{EdaConfig, Overview, SparkStage}
 import repro.baseline.ProfilingBaseline
 
@@ -9,12 +9,15 @@ import repro.baseline.ProfilingBaseline
   * intermediates of plot(df) on the bitcoin dataset, and attributes the gap
   * to graph structure (Dask fuses one lazy graph; Modin evaluates each op
   * eagerly; Koalas/PySpark pay per-query scheduling overhead). We hold the
-  * engine fixed (Spark) and vary exactly that axis:
+  * engine and the work fixed (Spark, one `Overview.compute(df, cfg, r)`)
+  * and vary exactly that axis, the reductions `r`:
   *
-  *  - fused:   one job per reduction kind over ALL columns (DataPrep.EDA)
-  *  - perPlot: one job per visualization (one stats agg + one histogram
-  *             job per column) — the Koalas-like middle ground
-  *  - eager:   one job per statistic (Modin / Pandas-profiling shape)
+  *  - fused (`SparkStage`): one job per reduction kind over ALL columns
+  *    (DataPrep.EDA)
+  *  - per-plot (`PerPlot`): the same reductions run once per column — the
+  *    Koalas-like middle ground
+  *  - eager (`ProfilingBaseline`): one job per statistic (Modin /
+  *    Pandas-profiling shape)
   */
 class EngineStrategyBench extends BenchHarness {
 
@@ -24,25 +27,9 @@ class EngineStrategyBench extends BenchHarness {
     warmUp()
     val cfg = EdaConfig.default
     val df = materialize(SynthData.bitcoinLike(spark, rows))
-    val numCols = df.columns.toSeq
 
-    val (_, tFused) = time(Overview.compute(df, cfg))
-
-    val (_, tPerPlot) = time {
-      // one fused agg per column (stats panel), one histogram job per column
-      numCols.foreach { c =>
-        val s = SparkStage.numericStats(df, Seq(c))(c)
-        if (s.count > 0) SparkStage.histograms(df, Seq(s), cfg.int("hist.bins"))
-      }
-    }
-
-    val (_, tEager) = time {
-      // one job per statistic per column
-      numCols.foreach { c =>
-        val s = ProfilingBaseline.numericStats(df, Seq(c))(c)
-        if (s.count > 0) ProfilingBaseline.histograms(df, Seq(s), cfg.int("hist.bins"))
-      }
-    }
+    val Seq(tFused, tPerPlot, tEager) = Seq(SparkStage, PerPlot, ProfilingBaseline)
+      .map(r => time(Overview.compute(df, cfg, r))._2)
     df.unpersist()
 
     emitTable("figure6a",

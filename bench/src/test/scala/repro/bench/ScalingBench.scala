@@ -30,7 +30,7 @@ class ScalingBench extends BenchHarness {
     val results = sizes.map { n =>
       val df = materialize(SynthData.bitcoinLike(spark, n))
       val (_, tFast) = time(Eda.computeReportIntermediates(df, cfg))
-      val (_, tSlow) = time(ProfilingBaseline.computeReportIntermediates(df, cfg))
+      val (_, tSlow) = time(Eda.computeReportIntermediates(df, cfg, ProfilingBaseline))
       df.unpersist()
       (n, tSlow, tFast)
     }

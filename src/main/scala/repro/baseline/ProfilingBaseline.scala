@@ -145,8 +145,4 @@ object ProfilingBaseline extends Reductions {
     Missing.MissingCounts(perColumn.headOption.fold(df.count())(_.rows), both,
       MissingSpectrum(cols, buckets, fractions))
   }
-
-  /** The eager profile report: the same intermediates as the fused path. */
-  def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): Eda.ReportIntermediates =
-    Eda.computeReportIntermediates(df, cfg, this)
 }

@@ -22,17 +22,22 @@ object Overview {
       frequencies: Map[String, CategoryFrequencies],
       insights: Seq[Insight])
 
-  def compute(df: DataFrame, cfg: EdaConfig): OverviewIntermediates = {
+  def compute(df: DataFrame, cfg: EdaConfig): OverviewIntermediates = compute(df, cfg, SparkStage)
+
+  /** The overview from the reductions `r`, so the fused, per-plot and eager
+    * strategies of Figure 6(a) differ only in how those execute.
+    */
+  private[repro] def compute(df: DataFrame, cfg: EdaConfig, r: Reductions): OverviewIntermediates = {
     val numCols = TypeDetector.numericColumns(df)
     val catCols = TypeDetector.categoricalColumns(df)
 
     val (numeric, categorical, counts) = Concurrently(df.sparkSession.sparkContext)(
-      SparkStage.numericStats(df, numCols), SparkStage.categoricalStats(df, catCols), SparkStage.tableCounts(df))
+      r.numericStats(df, numCols), r.categoricalStats(df, catCols), r.tableCounts(df))
     val numStats = numCols.map(numeric)
     fromAggregates(cfg, numStats, catCols.map(categorical), counts,
-      SparkStage.histograms(df, numStats.filter(_.count > 0), cfg.int("hist.bins"))
+      r.histograms(df, numStats.filter(_.count > 0), cfg.int("hist.bins"))
         .map { case (c, b) => c -> b.histogram },
-      SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
+      r.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
   }
 
   /** The overview from pass 1 (the column stats in schema order and the

@@ -8,8 +8,9 @@ import repro.core.Intermediates._
   * inside it. `SparkStage` fuses each kind over
   * every column or pair into O(1) Spark actions; the eager
   * `ProfilingBaseline` runs one action per statistic, column or pair. Both
-  * feed the one assembly, `Eda.computeReportIntermediates(df, cfg, r)`, so
-  * they differ only in how the reductions execute.
+  * feed the same assemblies, `Eda.computeReportIntermediates(df, cfg, r)`
+  * and `Overview.compute(df, cfg, r)`, so they differ only in how the
+  * reductions execute.
   */
 private[repro] trait Reductions {
 

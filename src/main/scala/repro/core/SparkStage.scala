@@ -192,8 +192,9 @@ object SparkStage extends Reductions {
     if (w.isNaN || w.isInfinite || w <= 0) 1.0 else w
   }
 
+  /** Edges of `bins` bins of `width` from `lo`, or from 0.0 when `lo` is NaN (no finite value). */
   private[repro] def edgesOf(lo: Double, width: Double, bins: Int): Array[Double] =
-    Array.tabulate(bins + 1)(i => lo + i * width)
+    Array.tabulate(bins + 1)(i => (if (lo.isNaN) 0.0 else lo) + i * width)
 
   /** Dense counts of `bins` bins from (bin, count) cells. */
   private[repro] def countsOf(bins: Int, cells: Iterable[(Int, Long)]): Array[Long] = {
@@ -473,16 +474,18 @@ object SparkStage extends Reductions {
     (edgesOf(min, w, bins), categories.map(c => c -> countsOf(bins, byCat.getOrElse(c, Nil))).toMap)
   }
 
+  /** Cells a cross tabulation keeps, most frequent first. */
+  private val MaxContingencyCells = 100000
+
   /** Cross tabulation of two categorical columns, one action, capped at the
-    * `maxCells` most frequent cells.
+    * `MaxContingencyCells` most frequent cells.
     */
-  def contingency(df: DataFrame, c1: String, c2: String,
-                  maxCells: Int = 100000): Seq[(String, String, Long)] = {
+  def contingency(df: DataFrame, c1: String, c2: String): Seq[(String, String, Long)] = {
     df.where(colRef(c1).isNotNull && colRef(c2).isNotNull)
       .groupBy(colRef(c1).cast(StringType).as("a"), colRef(c2).cast(StringType).as("b"))
       .count()
       .orderBy(col("count").desc, col("a"), col("b"))
-      .limit(maxCells)
+      .limit(MaxContingencyCells)
       .collect()
       .map(r => (r.getString(0), r.getString(1), r.getLong(2))).toSeq
   }

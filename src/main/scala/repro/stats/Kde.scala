@@ -21,7 +21,7 @@ object Kde {
     */
   def fromHistogram(centers: Array[Double], counts: Array[Long],
                     min: Double, max: Double, std: Double,
-                    gridPoints: Int = 200): (Array[Double], Array[Double]) = {
+                    gridPoints: Int): (Array[Double], Array[Double]) = {
     val total = counts.sum
     if (total == 0 || centers.isEmpty || gridPoints < 2)
       return (Array.empty, Array.empty)

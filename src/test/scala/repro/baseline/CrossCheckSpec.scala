@@ -14,7 +14,7 @@ class CrossCheckSpec extends SparkSpec with TestHelpers {
     seed = 3).cache()
   private lazy val cfg = EdaConfig.default
   private lazy val fast = Eda.computeReportIntermediates(df, cfg)
-  private lazy val slow = ProfilingBaseline.computeReportIntermediates(df, cfg)
+  private lazy val slow = Eda.computeReportIntermediates(df, cfg, ProfilingBaseline)
 
   test("dataset statistics agree") {
     assert(fast.overview.dataset == slow.overview.dataset)

@@ -86,6 +86,18 @@ class BivariateSpec extends SparkSpec with TestHelpers {
     assert(cn.lines.lines.map(_._2.sum).sum == 5)
   }
 
+  test("a numeric column with no finite value gets finite bin edges in NN and NC") {
+    val d = Seq[(String, Double, java.lang.Double)](("a", 1.0, null), ("b", 2.0, Double.NaN),
+      ("a", 3.0, Double.PositiveInfinity)).toDF("g", "x", "dead")
+    def finite(edges: Array[Double]): Boolean = edges.forall(e => !e.isNaN && !e.isInfinite)
+    val cn = Bivariate.catNum(d, "g", "dead", cfg)
+    assert(finite(cn.lines.edges), cn.lines.edges.toSeq)
+    val xDead = Bivariate.numNum(d, "x", "dead", cfg)
+    assert(finite(xDead.grid.yEdges), xDead.grid.yEdges.toSeq)
+    val deadX = Bivariate.numNum(d, "dead", "x", cfg)
+    assert(finite(deadX.grid.xEdges) && finite(deadX.binnedBox.xEdges), deadX.grid.xEdges.toSeq)
+  }
+
   private lazy val ccDf = Seq(
     ("r1", "c1"), ("r1", "c1"), ("r1", "c2"), ("r2", "c2"), ("r2", "c2"), ("r2", "c1"),
   ).toDF("a", "b").cache()

@@ -84,7 +84,7 @@ class EdaSpec extends SparkSpec with TestHelpers {
       Eda.plotMissing(odd, c1, c2), Eda.createReport(odd))
     assert(reports.forall(_.tabs.nonEmpty))
     val fast = Eda.computeReportIntermediates(odd, EdaConfig.default)
-    val eager = repro.baseline.ProfilingBaseline.computeReportIntermediates(odd, EdaConfig.default)
+    val eager = Eda.computeReportIntermediates(odd, EdaConfig.default, repro.baseline.ProfilingBaseline)
     assert(fast.overview.dataset == eager.overview.dataset)
     assert(fast.overview.dataset.missingCells == 9 + 12)
     assert(fast.missing.bar.missingCounts == Seq(9L, 0L, 12L, 0L))

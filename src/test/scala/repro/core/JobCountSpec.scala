@@ -1,33 +1,17 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicLong
-
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 
-import repro.SparkSpec
+import repro.{JobCounting, SparkSpec}
 import repro.data.EdaData
 
 /** The fused pipeline runs O(1) Spark jobs per task: the count depends on
   * which column kinds are present, not on how many columns there are.
   */
-class JobCountSpec extends SparkSpec {
+class JobCountSpec extends SparkSpec with JobCounting {
 
   private lazy val narrow = EdaData.dataset(spark, 1000, 5, 5).cache()
   private lazy val wide = EdaData.dataset(spark, 1000, 40, 20).cache()
-
-  private def jobsOf(f: => Any): Long = {
-    val jobs = new AtomicLong
-    val counter = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    ListenerBusDrain(spark.sparkContext)
-    spark.sparkContext.addSparkListener(counter)
-    try { f; ListenerBusDrain(spark.sparkContext) }
-    finally spark.sparkContext.removeSparkListener(counter)
-    jobs.get()
-  }
 
   override def beforeAll(): Unit = {
     super.beforeAll()
