@@ -98,9 +98,11 @@ object Correlation {
     // the exact one from the moments, which also give the regression line
     val sample = SparkStage.collectNumericMatrix(df, Seq(c1, c2),
       totalRows = moments.n, maxRows = cfg.long("corr.maxrows"))
-    val local = LocalStage.coefficients(Seq(c1, c2), sample, cfg.strings("corr.methods"),
-      Seq((0, 1))).map { case (m, v) => m -> v((c1, c2)) }
-    val coefficients = if (local.contains("pearson")) local.updated("pearson", moments.pearson) else local
+    val methods = cfg.strings("corr.methods")
+    val ranks = LocalStage.coefficients(Seq(c1, c2), sample, methods.filterNot(_ == "pearson"), Seq((0, 1)))
+    // built in corr.methods order, which a map of at most three keys keeps
+    val coefficients = methods.map(m =>
+      m -> (if (m == "pearson") moments.pearson else ranks(m)((c1, c2)))).toMap
     val insights = coefficients.toSeq.flatMap { case (m, r) =>
       Insights.highCorrelation(c1, c2, m, r, cfg)
     }

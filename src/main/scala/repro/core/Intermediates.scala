@@ -30,14 +30,15 @@ object Intermediates {
       percentiles: Array[Double]) {
     def total: Long = count + missing + infinites
     def missingFraction: Double = if (total == 0) 0.0 else missing.toDouble / total
-    private def pct(p: Double): Double = {
+    /** The grid's quantile at p, NaN for an empty grid. */
+    def quantile(p: Double): Double = {
       if (percentiles.isEmpty) return Double.NaN
       val idx = math.round(p * 100).toInt // grid index of p is p*100 (0.0, 0.01..0.99, 1.0)
       percentiles(math.min(math.max(idx, 0), percentiles.length - 1))
     }
-    def q1: Double = pct(0.25)
-    def median: Double = pct(0.50)
-    def q3: Double = pct(0.75)
+    def q1: Double = quantile(0.25)
+    def median: Double = quantile(0.50)
+    def q3: Double = quantile(0.75)
     def iqr: Double = q3 - q1
     def range: Double = max - min
     /** At least two values with a positive, defined standard deviation. */

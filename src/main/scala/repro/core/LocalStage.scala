@@ -101,11 +101,7 @@ object LocalStage {
       return QQPlot(stats.name, Array.empty, Array.empty)
     val ps = (1 to math.min(points, 99)).map(_ / 100.0)
     val theoretical = ps.map(p => stats.mean + stats.std * LocalStats.normalPpf(p)).toArray
-    val sample = ps.map { p =>
-      val idx = math.round(p * 100).toInt // grid index of p is p*100 (0.0, 0.01..0.99, 1.0)
-      stats.percentiles(math.min(idx, stats.percentiles.length - 1))
-    }.toArray
-    QQPlot(stats.name, theoretical, sample)
+    QQPlot(stats.name, theoretical, ps.map(stats.quantile).toArray)
   }
 
   /** Normalized PDF and cumulative CDF of a histogram. */

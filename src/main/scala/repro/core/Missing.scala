@@ -99,13 +99,13 @@ object Missing {
   }
 
   /** plot_missing(df, col1): every other column before vs. after. */
-  def impact(df: DataFrame, col1: String, cfg: EdaConfig): MissingImpactIntermediates = {
-    require(df.columns.contains(col1), s"column '$col1' not found")
+  def impact(df: DataFrame, col1: String, cfg: EdaConfig): MissingImpactIntermediates =
     impactOf(df, col1, df.columns.toSeq.filterNot(_ == col1), cfg)
-  }
 
   /** `cols` over all rows vs. the rows where col1 is present. Pass 1 runs
     * only to bin numeric columns; the rows kept need an agg of their own.
+    * An unknown col1 or column of `cols` is rejected by `TypeDetector`
+    * before any job.
     */
   private def impactOf(df: DataFrame, col1: String, cols: Seq[String],
                        cfg: EdaConfig): MissingImpactIntermediates = {
@@ -125,7 +125,6 @@ object Missing {
     * with data, its PDF, CDF and box plots before vs. after.
     */
   def pair(df: DataFrame, col1: String, col2: String, cfg: EdaConfig): MissingPairIntermediates = {
-    require(df.columns.contains(col1), s"column '$col1' not found")
     val impact = impactOf(df, col1, Seq(col2), cfg)
     val hist = impact.histograms.get(col2)
     val none = (Array.empty[Double], Array.empty[Double])

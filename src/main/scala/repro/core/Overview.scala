@@ -8,9 +8,9 @@ import repro.core.Intermediates._
   *
   * Pipeline: pass 1 (the precompute stage) as three concurrent reductions
   * — numeric statistics (two jobs), categorical statistics and the table's
-  * row and duplicate-row counts (one job each) — then one job for ALL
-  * histograms and one for ALL bar charts. Six Spark actions total,
-  * independent of the number of columns.
+  * row and duplicate-row counts (one job each) — beside one job for ALL
+  * bar charts, then one job for ALL histograms, whose bins need pass 1.
+  * Six Spark actions total, independent of the number of columns.
   */
 object Overview {
 
@@ -31,13 +31,13 @@ object Overview {
     val numCols = TypeDetector.numericColumns(df)
     val catCols = TypeDetector.categoricalColumns(df)
 
-    val (numeric, categorical, counts) = Concurrently(df.sparkSession.sparkContext)(
-      r.numericStats(df, numCols), r.categoricalStats(df, catCols), r.tableCounts(df))
+    val (numeric, categorical, counts, freqs) = Concurrently(df.sparkSession.sparkContext)(
+      r.numericStats(df, numCols), r.categoricalStats(df, catCols), r.tableCounts(df),
+      r.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
     val numStats = numCols.map(numeric)
     fromAggregates(cfg, numStats, catCols.map(categorical), counts,
       r.histograms(df, numStats.filter(_.count > 0), cfg.int("hist.bins"))
-        .map { case (c, b) => c -> b.histogram },
-      r.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
+        .map { case (c, b) => c -> b.histogram }, freqs)
   }
 
   /** The overview from pass 1 (the column stats in schema order and the

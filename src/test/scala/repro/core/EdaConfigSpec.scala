@@ -1,8 +1,10 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.sql.DataFrame
 
-class EdaConfigSpec extends AnyFunSuite {
+import repro.{JobCounting, SparkSpec}
+
+class EdaConfigSpec extends SparkSpec with JobCounting {
 
   test("defaults carry every registered key") {
     assert(EdaConfig.defaults.keySet == EdaConfig.registry.keySet)
@@ -53,7 +55,7 @@ class EdaConfigSpec extends AnyFunSuite {
     assert(ht == ht.sorted)
   }
   test("every registry entry has a nonempty description") {
-    EdaConfig.registry.foreach { case (k, (_, desc)) =>
+    EdaConfig.registry.foreach { case (k, EdaConfig.Entry(_, desc, _, _)) =>
       assert(desc.nonEmpty, s"missing description for $k")
     }
   }
@@ -101,5 +103,99 @@ class EdaConfigSpec extends AnyFunSuite {
     val e = intercept[IllegalArgumentException](
       EdaConfig.from(Map("corr.methods" -> Seq("pearson", "spearmann"))))
     assert(e.getMessage.contains("corr.methods") && e.getMessage.contains("spearmann"))
+  }
+
+  // ---- generated from the registry, so that every key is covered --------
+
+  /** Values of the entry's type that lie outside its range: below `lo`, above
+    * a finite `hi`; for `corr.methods`, a duplicated method.
+    */
+  private def outOfRange(e: EdaConfig.Entry): Seq[Any] = e.default match {
+    case _: Int    => Seq((e.lo - 1).toInt) ++ Option.when(!e.hi.isInfinite)((e.hi + 1).toInt)
+    case _: Long   => Seq((e.lo - 1).toLong) ++ Option.when(!e.hi.isInfinite)((e.hi + 1).toLong)
+    case _: Double => Seq(e.lo - 0.5) ++ Option.when(!e.hi.isInfinite)(e.hi + 0.5)
+    case _         => Seq(Seq("pearson", "pearson"))
+  }
+
+  /** Every form of the entry's default that an override may take, with the value read back. */
+  private def accepted(e: EdaConfig.Entry): Seq[(Any, Any)] = e.default match {
+    case i: Int    => Seq[Any](i, i.toLong, i.toDouble).map(_ -> i)
+    case l: Long   => Seq[Any](l.toInt, l, l.toDouble).map(_ -> l)
+    case d: Double => (Seq[Any](d) ++ Option.when(d.isWhole)(d.toInt)).map(_ -> d)
+    case ms        => Seq(ms -> ms, List("kendall", "pearson") -> Seq("kendall", "pearson"), Nil -> Nil)
+  }
+
+  private def read(cfg: EdaConfig, k: String): Any = EdaConfig.registry(k).default match {
+    case _: Int    => cfg.int(k)
+    case _: Long   => cfg.long(k)
+    case _: Double => cfg.double(k)
+    case _         => cfg.strings(k)
+  }
+
+  private lazy val df: DataFrame = spark.range(20).selectExpr("id AS x", "id * 2 AS y", "CAST(id % 3 AS STRING) AS g")
+
+  /** Each task entry point with `config`; a rejected config starts no Spark job. */
+  private def tasks(config: Map[String, Any]): Seq[(String, () => Any)] = Seq(
+    "createReport" -> (() => Eda.createReport(df, config)),
+    "plot" -> (() => Eda.plot(df, config = config)),
+    "plot(x)" -> (() => Eda.plot(df, "x", config = config)),
+    "plotCorrelation" -> (() => Eda.plotCorrelation(df, config = config)),
+    "plotCorrelation(x, y)" -> (() => Eda.plotCorrelation(df, "x", "y", config = config)),
+    "plotMissing" -> (() => Eda.plotMissing(df, config = config)),
+    "plotMissing(x)" -> (() => Eda.plotMissing(df, "x", config = config)))
+
+  private def assertRejectedAtBoundary(k: String, v: Any): Unit = {
+    val e = intercept[IllegalArgumentException](EdaConfig.from(Map(k -> v)))
+    assert(e.getMessage.contains(k), e.getMessage)
+    tasks(Map(k -> v)).foreach { case (task, run) =>
+      val (err, jobs) = withJobs(intercept[IllegalArgumentException](run()))
+      assert(err.getMessage.contains(k), s"$task: ${err.getMessage}")
+      assert(jobs == 0, s"$task started $jobs Spark jobs before rejecting $k -> $v")
+    }
+  }
+
+  EdaConfig.registry.toSeq.sortBy(_._1).foreach { case (k, e) =>
+    test(s"registry $k: out-of-range and String values are rejected before any Spark job") {
+      (outOfRange(e) :+ e.default.toString).foreach(assertRejectedAtBoundary(k, _))
+    }
+    test(s"registry $k: its default is accepted in every form and reads the same") {
+      accepted(e).foreach { case (given, expected) =>
+        assert(read(EdaConfig.from(Map(k -> given)), k) == expected, s"$k -> $given")
+      }
+    }
+  }
+
+  // ---- values the Config Manager once accepted, or rejected only mid-task --
+
+  test("a String report.interactions or corr.maxcols is rejected before any Spark job") {
+    assertRejectedAtBoundary("report.interactions", "5")
+    assertRejectedAtBoundary("corr.maxcols", "5")
+  }
+  test("a negative corr.maxcols or report.interactions is rejected; zero is allowed") {
+    assertRejectedAtBoundary("corr.maxcols", -1)
+    assertRejectedAtBoundary("report.interactions", -1)
+    val zero = EdaConfig.from(Map("corr.maxcols" -> 0, "report.interactions" -> 0))
+    assert(zero.int("corr.maxcols") == 0 && zero.int("report.interactions") == 0)
+  }
+  test("duplicated corr.methods are rejected, naming the key and the value") {
+    val e = intercept[IllegalArgumentException](EdaConfig.from(Map("corr.methods" -> Seq("pearson", "pearson"))))
+    assert(e.getMessage.contains("corr.methods") && e.getMessage.contains("List(pearson, pearson)"), e.getMessage)
+  }
+  test("a whole Double is accepted by a Long key as by an Int key") {
+    assert(EdaConfig.from(Map("hist.bins" -> 50.0)).int("hist.bins") == 50)
+    assert(EdaConfig.from(Map("corr.maxrows" -> 1e5)).long("corr.maxrows") == 100000L)
+  }
+  test("a Long beyond Int range is rejected by an Int key, not wrapped") {
+    for (v <- Seq(Int.MaxValue + 1L, Int.MinValue - 1L, 1e10)) {
+      val e = intercept[IllegalArgumentException](EdaConfig.from(Map("hist.bins" -> v)))
+      assert(e.getMessage.contains("hist.bins") && e.getMessage.contains("expected an Int"), e.getMessage)
+    }
+    assert(EdaConfig.from(Map("hist.bins" -> Int.MaxValue.toLong)).int("hist.bins") == Int.MaxValue)
+  }
+  test("a rejected value is shown with its kind and range") {
+    val e = intercept[IllegalArgumentException](EdaConfig.from(Map("insight.missing.threshold" -> 1.5)))
+    assert(e.getMessage == "config insight.missing.threshold: expected a number in [0, 1], got 1.5")
+    val s = intercept[IllegalArgumentException](EdaConfig.from(Map("hist.bins" -> "50")))
+    assert(s.getMessage == "config hist.bins: expected an Int, got \"50\"")
   }
 }

@@ -2,10 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.functions.lit
 
-import repro.{Oracle, SparkSpec, TestHelpers}
+import repro.{JobCounting, Oracle, SparkSpec, TestHelpers}
 
 /** plot_missing(df[, col1[, col2]]). */
-class MissingSpec extends SparkSpec with TestHelpers {
+class MissingSpec extends SparkSpec with TestHelpers with JobCounting {
   import spark.implicits._
 
   private lazy val cfg = EdaConfig.default
@@ -168,6 +168,12 @@ class MissingSpec extends SparkSpec with TestHelpers {
   }
 
   test("pair: unknown column rejected") {
-    intercept[IllegalArgumentException](Missing.pair(df, "nope", "c", cfg))
+    val calls = Seq(() => Missing.pair(df, "nope", "c", cfg), () => Missing.pair(df, "a", "nope", cfg),
+      () => Missing.impact(df, "nope", cfg))
+    calls.foreach { call =>
+      val (e, jobs) = withJobs(intercept[IllegalArgumentException](call()))
+      assert(e.getMessage.contains("column 'nope' not found"), e.getMessage)
+      assert(jobs == 0)
+    }
   }
 }

@@ -186,7 +186,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(h.counts.toSeq == Seq(3L, 0L, 0L, 0L))
   }
 
-  test("impactHistograms: before = full histogram, after = kept rows only") {
+  test("histograms: before = full histogram, after = kept rows only") {
     val d2 = Seq(
       (Option(1.0), Option(10.0)), (Option(2.0), None),
       (Option(3.0), Option(30.0)), (Option(4.0), None),
@@ -219,7 +219,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(fs("c2").toMap == Map("p" -> 1L, "q" -> 2L))
   }
 
-  test("impactFrequencies: before/after counts") {
+  test("frequencies: before/after counts") {
     val d2 = Seq(
       (Option("a"), Option(1.0)), (Option("a"), None),
       (Option("b"), Option(2.0)),
@@ -398,7 +398,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
       "SELECT c1 AS a, c2 AS b, count(*) AS count FROM t GROUP BY c1, c2", "t" -> d2)
   }
 
-  test("outlierCounts: counts beyond fences match DuckDB") {
+  test("histograms: outliers beyond fences match DuckDB") {
     val d = Seq(1.0, 2.0, 3.0, 100.0, -50.0).toDF("x")
     // quartiles 3.75 and 6.25 put the Tukey fences at 0 and 10
     val fenced = statsOf(d, "x").map(_.copy(percentiles = Array.tabulate(101)(i => if (i < 50) 3.75 else 6.25)))
