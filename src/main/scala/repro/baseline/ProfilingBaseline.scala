@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
 import repro.core._
-import repro.core.SparkStage.{binOf, cleanNum, colRef, countsOf, distinctRows, edgesOf, getDouble, getLong, widthOf}
+import repro.core.SparkStage.{Bins, cleanNum, colRef, distinctRows, getDouble, getLong}
 import repro.core.Intermediates._
 
 /** The comparison baseline: a Pandas-profiling-style profiler.
@@ -78,49 +78,45 @@ object ProfilingBaseline extends Reductions {
     */
   def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn] =
     stats.map { s =>
-      val w = widthOf(s.min, s.max, bins)
+      val b = Bins.of(s.min, s.max, bins)
       val x = cleanNum(s.name)
-      val rows = df.where(x.isNotNull)
-        .groupBy(binOf(x, lit(s.min), lit(w), bins).as("bin")).count().collect()
-      val hist = Histogram(s.name, edgesOf(s.min, w, bins), countsOf(bins, rows.map(r => (r.getInt(0), r.getLong(1)))))
+      val rows = df.where(x.isNotNull).groupBy(b.index(x).as("bin")).count().collect()
+      val hist = Histogram(s.name, b.edges, b.counts(rows.map(r => (r.getInt(0), r.getLong(1)))))
       val (lo, hi) = LocalStage.fences(s)
       s.name -> SparkStage.BinnedColumn(hist, hist.counts, firstLong(df, count(when(x < lo || x > hi, 1))))
     }.toMap
 
   /** One frequency job per column. */
-  def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]] =
     cols.map(c => c -> df.where(colRef(c).isNotNull)
       .groupBy(colRef(c).cast(StringType).as("v")).count()
       .orderBy(col("count").desc, col("v"))
-      .limit(maxDistinct)
+      .limit(topK)
       .collect()
       .map(r => (r.getString(0), r.getLong(1))).toSeq).toMap
 
   /** One 2-D grid job per pair. */
   def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D] =
     pairs.map { case (a, b) =>
-      val (xw, yw) = (widthOf(a.min, a.max, xBins), widthOf(b.min, b.max, yBins))
+      val (xb, yb) = (Bins.of(a.min, a.max, xBins), Bins.of(b.min, b.max, yBins))
       val x = cleanNum(a.name); val y = cleanNum(b.name)
       val byX = df.where(x.isNotNull && y.isNotNull)
-        .groupBy(binOf(x, lit(a.min), lit(xw), xBins).as("xb"), binOf(y, lit(b.min), lit(yw), yBins).as("yb"))
+        .groupBy(xb.index(x).as("xb"), yb.index(y).as("yb"))
         .count().collect()
         .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2)))
-      Grid2D(a.name, b.name, edgesOf(a.min, xw, xBins), edgesOf(b.min, yw, yBins),
-        Array.tabulate(xBins)(i => countsOf(yBins, byX.getOrElse(i, Nil))))
+      Grid2D(a.name, b.name, xb.edges, yb.edges, Array.tabulate(xBins)(i => yb.counts(byX.getOrElse(i, Nil))))
     }
 
   /** One action per pair per method: Pearson from the pair's moments,
-    * Spearman and Kendall from the pair's own collect.
+    * Spearman and Kendall from the fused reduction run on that pair alone.
     */
-  def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
-                   maxRows: Long): Map[String, Map[(String, String), Double]] = {
-    val pairs = for (i <- cols.indices; j <- i + 1 until cols.size) yield (cols(i), cols(j))
-    methods.map(m => m -> pairs.map { case p @ (a, b) =>
+  def correlations(df: DataFrame, cols: Seq[String], pairs: Seq[(Int, Int)], rows: Long,
+                   methods: Seq[String], maxRows: Long): Map[String, Map[(String, String), Double]] =
+    methods.map(m => m -> pairs.map { case (i, j) =>
+      val p @ (a, b) = (cols(i), cols(j))
       p -> (if (m == "pearson") SparkStage.pairMoments(df, a, b).pearson
-            else LocalStage.coefficients(Seq(a, b),
-              SparkStage.collectNumericMatrix(df, Seq(a, b), rows, maxRows), Seq(m), Seq((0, 1)))(m)(p))
+            else SparkStage.correlations(df, Seq(a, b), Seq((0, 1)), rows, Seq(m), maxRows)(m)(p))
     }.toMap).toMap
-  }
 
   /** One action per column for the bar chart, one spectrum reduction per
     * column, and one both-missing action per pair of columns that both have

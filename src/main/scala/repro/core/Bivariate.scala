@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.StringType
 import repro.core.Intermediates._
 
 /** Bivariate task — plot(df, col1, col2) (Figure 2, row 3).
@@ -44,12 +45,13 @@ object Bivariate {
 
     val grid = SparkStage.grids(df, Seq((xs, ys)), cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins")).head
 
-    val (edges, binned) = SparkStage.binnedQuantiles(df, x, y, xs.min, xs.max,
-      cfg.int("box.bins"))
-    val boxes = binned.map { case (bin, qs, _) =>
+    // at most box.bins groups, so the limit keeps every bin
+    val xBins = SparkStage.Bins.of(xs.min, xs.max, cfg.int("box.bins"))
+    val binned = SparkStage.groupedFiveNumbers[Int](df, xBins.index(SparkStage.cleanNum(x)), y, xBins.n)
+    val boxes = binned.sortBy(_._1).map { case (bin, _, qs) =>
       LocalStage.boxFromFiveNumbers(s"$x[$bin]", qs)
     }
-    val binnedBox = BinnedBoxPlot(x, y, edges, boxes)
+    val binnedBox = BinnedBoxPlot(x, y, xBins.edges, boxes)
 
     NumNumBivariate(xs, ys, scatter, grid, binnedBox,
       Insights.highCorrelation(x, y, "pearson", moments.pearson, cfg).toSeq)
@@ -57,17 +59,16 @@ object Bivariate {
 
   def catNum(df: DataFrame, cat: String, num: String, cfg: EdaConfig): CatNumBivariate = {
     val ns = SparkStage.numericStats(df, Seq(num))(num)
-    val topK = cfg.int("nc.topk")
-
-    val grouped = SparkStage.groupedNumericStats(df, cat, num, topK)
-    val boxes = CategoricalBoxPlot(cat, num, grouped.map { case (g, _, _, qs) =>
+    val grouped = SparkStage.groupedFiveNumbers[String](df,
+      SparkStage.colRef(cat).cast(StringType), num, cfg.int("nc.topk"))
+    val boxes = CategoricalBoxPlot(cat, num, grouped.map { case (g, _, qs) =>
       g -> LocalStage.boxFromFiveNumbers(s"$num|$cat=$g", qs)
     })
 
     val cats = grouped.map(_._1)
-    val (edges, lineHists) = SparkStage.groupedHistograms(df, cat, num, cats,
-      ns.min, ns.max, cfg.int("hist.bins"))
-    val lines = MultiLineChart(cat, num, edges, cats.map(c => c -> lineHists(c)))
+    val bins = SparkStage.Bins.of(ns.min, ns.max, cfg.int("hist.bins"))
+    val lineHists = SparkStage.groupedHistograms(df, cat, num, cats, bins)
+    val lines = MultiLineChart(cat, num, bins.edges, cats.map(c => c -> lineHists(c)))
 
     CatNumBivariate(cat, num, boxes, lines, Nil)
   }

@@ -46,12 +46,15 @@ object Correlation {
   private def corrColumns(df: DataFrame, cfg: EdaConfig): Seq[String] =
     TypeDetector.numericColumns(df).take(cfg.int("corr.maxcols"))
 
+  /** Every pair (i, j), i < j, of `n` columns: the pairs of a matrix. */
+  private[core] def allPairs(n: Int): Seq[(Int, Int)] = for (i <- 0 until n; j <- i + 1 until n) yield (i, j)
+
   def matrix(df: DataFrame, cfg: EdaConfig): CorrelationIntermediates = {
     val cols = corrColumns(df, cfg)
     val numeric = SparkStage.numericStats(df, cols)
     // every row of a column is finite, missing or infinite
     val rows = cols.headOption.fold(0L)(numeric(_).total)
-    matrixFromAggregates(cols, numeric, SparkStage.correlations(df, cols, rows,
+    matrixFromAggregates(cols, numeric, SparkStage.correlations(df, cols, allPairs(cols.size), rows,
       cfg.strings("corr.methods"), cfg.long("corr.maxrows")), cfg)
   }
 
@@ -72,11 +75,10 @@ object Correlation {
     val others = cols.filterNot(_ == column)
     val sub = column +: others
     val numeric = SparkStage.numericStats(df, sub)
-    val sample = SparkStage.collectNumericMatrix(df, sub, numeric(column).total, cfg.long("corr.maxrows"))
     // only the column's own pairs: (column, other) for every other column
     val methods = cfg.strings("corr.methods")
-    val coefficients = LocalStage.coefficients(sub, sample, methods,
-      others.indices.map(i => (0, i + 1)))
+    val coefficients = SparkStage.correlations(df, sub, others.indices.map(i => (0, i + 1)),
+      numeric(column).total, methods, cfg.long("corr.maxrows"))
     val vectors = methods.map { m =>
       CorrelationVector(m, column, others,
         others.map(o => if (numeric(column).hasVariance && numeric(o).hasVariance)
@@ -96,10 +98,9 @@ object Correlation {
 
     // spearman/kendall locally on the collected (sampled) pair; pearson is
     // the exact one from the moments, which also give the regression line
-    val sample = SparkStage.collectNumericMatrix(df, Seq(c1, c2),
-      totalRows = moments.n, maxRows = cfg.long("corr.maxrows"))
     val methods = cfg.strings("corr.methods")
-    val ranks = LocalStage.coefficients(Seq(c1, c2), sample, methods.filterNot(_ == "pearson"), Seq((0, 1)))
+    val ranks = SparkStage.correlations(df, Seq(c1, c2), Seq((0, 1)), moments.n,
+      methods.filterNot(_ == "pearson"), cfg.long("corr.maxrows"))
     // built in corr.methods order, which a map of at most three keys keeps
     val coefficients = methods.map(m =>
       m -> (if (m == "pearson") moments.pearson else ranks(m)((c1, c2)))).toMap

@@ -97,7 +97,7 @@ object Eda {
     *     job for all histograms with their outlier counts, one for all
     *     `report.interactions` 2-D grids, and one reduce-to-driver collect
     *     feeding local Pearson, Spearman and Kendall, which sort each column
-    *     once (`LocalStage.coefficients`).
+    *     once (`LocalStage.coefficients`); none when `corr.methods` is empty.
     */
   def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): ReportIntermediates =
     computeReportIntermediates(df, cfg, SparkStage)
@@ -118,7 +118,7 @@ object Eda {
       r.numericStats(df, numCols),
       r.categoricalStats(df, catCols),
       r.tableCounts(df),
-      r.frequencies(df, catCols, cfg.int("freq.maxdistinct")),
+      r.frequencies(df, catCols, cfg.int("bar.topk")),
       r.missing(df, cols, cfg.int("spectrum.bins")))
 
     // Interactions: 2-D grids for the first k numeric pairs with data
@@ -132,7 +132,8 @@ object Eda {
     val (binned, interactions, coefficients) = concurrently(
       r.histograms(df, withData, cfg.int("hist.bins")),
       r.grids(df, pairs, cfg.int("grid2d.xbins"), cfg.int("grid2d.ybins")),
-      r.correlations(df, corrCols, counts._1, cfg.strings("corr.methods"), cfg.long("corr.maxrows")))
+      r.correlations(df, corrCols, Correlation.allPairs(corrCols.size), counts._1,
+        cfg.strings("corr.methods"), cfg.long("corr.maxrows")))
 
     val overview = Overview.fromAggregates(cfg, numStats, catStats, counts,
       binned.map { case (c, b) => c -> b.histogram }, freqs)

@@ -36,7 +36,6 @@ object EdaConfig {
     "qq.points"              -> Entry(99, "number of quantile points in the normal Q-Q plot"),
     "bar.topk"               -> Entry(10, "number of categories shown in bar/pie charts"),
     "wordfreq.topk"          -> Entry(30, "number of words in the word-frequency chart"),
-    "freq.maxdistinct"       -> Entry(10000, "max distinct values collected per categorical column"),
     "scatter.sample"         -> Entry(1000, "max points sampled for scatter plots", lo = 0),
     "grid2d.xbins"           -> Entry(30, "x bins of the 2-D density (hexbin-substitute) grid"),
     "grid2d.ybins"           -> Entry(30, "y bins of the 2-D density (hexbin-substitute) grid"),

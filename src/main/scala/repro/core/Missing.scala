@@ -114,8 +114,8 @@ object Missing {
     val stats = SparkStage.numericStats(df, numCols)
     val hists = SparkStage.histograms(df, numCols.map(stats).filter(_.count > 0), cfg.int("hist.bins"), keep)
       .map { case (c, b) => c -> b.impact }
-    val freqs = SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct"), keep)
-      .map { case (c, vs) => c -> ImpactFrequencies(c, vs.take(cfg.int("bar.topk"))) }
+    val freqs = SparkStage.frequencies(df, catCols, cfg.int("bar.topk"), keep)
+      .map { case (c, vs) => c -> ImpactFrequencies(c, vs) }
     val rows = df.agg(count(lit(1)), count(when(keep, 1))).head()
     val insights = hists.values.toSeq.sortBy(_.column).flatMap(Insights.missingImpact(col1, _, cfg))
     MissingImpactIntermediates(col1, rows.getLong(0), rows.getLong(1), hists, freqs, insights)

@@ -33,7 +33,7 @@ object Overview {
 
     val (numeric, categorical, counts, freqs) = Concurrently(df.sparkSession.sparkContext)(
       r.numericStats(df, numCols), r.categoricalStats(df, catCols), r.tableCounts(df),
-      r.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
+      r.frequencies(df, catCols, cfg.int("bar.topk")))
     val numStats = numCols.map(numeric)
     fromAggregates(cfg, numStats, catCols.map(categorical), counts,
       r.histograms(df, numStats.filter(_.count > 0), cfg.int("hist.bins"))
@@ -42,7 +42,7 @@ object Overview {
 
   /** The overview from pass 1 (the column stats in schema order and the
     * table's (rows, duplicate rows)), the histograms of the numeric columns
-    * with data and the value counts of the categorical columns.
+    * with data and the top `bar.topk` value counts of the categorical columns.
     */
   def fromAggregates(cfg: EdaConfig, numStats: Seq[NumericStats], catStats: Seq[CategoricalStats],
                      counts: (Long, Long), hists: Map[String, Histogram],
@@ -50,10 +50,8 @@ object Overview {
     val (rows, duplicateRows) = counts
     val columns = numStats.size + catStats.size
 
-    val topK = cfg.int("bar.topk")
     val freqs = catStats.map { s =>
-      s.name -> CategoryFrequencies(s.name,
-        rawFreqs.getOrElse(s.name, Nil).take(topK), s.distinct, s.count)
+      s.name -> CategoryFrequencies(s.name, rawFreqs.getOrElse(s.name, Nil), s.distinct, s.count)
     }.toMap
 
     val dataset = DatasetStats(

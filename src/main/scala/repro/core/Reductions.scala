@@ -28,14 +28,18 @@ private[repro] trait Reductions {
     */
   def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn]
 
-  def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]]
+  /** The `topK` most frequent values of each listed column with their counts. */
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]]
 
   /** 2-D grid of each (x, y) pair over its complete rows, binned from the pair's stats. */
   def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D]
 
-  /** Coefficients keyed method → (column, column) pair, for every pair of `cols`. */
-  def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
-                   maxRows: Long): Map[String, Map[(String, String), Double]]
+  /** Coefficients keyed method → (column, column) pair, for each listed
+    * pair of indices into `cols`; `rows` is the table's row count, above
+    * `maxRows` of which a sample is correlated.
+    */
+  def correlations(df: DataFrame, cols: Seq[String], pairs: Seq[(Int, Int)], rows: Long,
+                   methods: Seq[String], maxRows: Long): Map[String, Map[(String, String), Double]]
 
   /** The row count, the both-missing count of every pair of `cols` (the
     * diagonal: each column's missing count) and the missing spectrum: the

@@ -175,32 +175,43 @@ object SparkStage extends Reductions {
   // Histograms: ALL numeric columns in one posexplode → groupBy job.
   // ---------------------------------------------------------------------
 
-  /** Bin index of `x` in `bins` bins of `width` from `lo`; values outside
-    * the range clamp to the first or last bin.
-    */
-  private[repro] def binOf(x: Column, lo: Column, width: Column, bins: Int): Column =
-    least(lit(bins - 1), greatest(lit(0), floor((x - lo) / width))).cast("int")
-
   /** The literal of the exploded column at `pos`, one per column. */
   private def atPos(xs: Seq[Double]): Column = element_at(array(xs.map(lit(_)): _*), col("pos") + 1)
 
-  /** Bin width of [lo, hi] in `bins` bins; 1.0 when the range is empty,
-    * undefined or overflows a double.
+  /** `n` bins of `width` from `lo`: the one binning rule of every histogram,
+    * grid and binned box plot. Built by `Bins.of` from a column's finite min
+    * and max.
     */
-  private[repro] def widthOf(lo: Double, hi: Double, bins: Int): Double = {
-    val w = (hi - lo) / bins
-    if (w.isNaN || w.isInfinite || w <= 0) 1.0 else w
+  final case class Bins(lo: Double, width: Double, n: Int) {
+    def edges: Array[Double] = Array.tabulate(n + 1)(lo + _ * width)
+
+    /** The bin of `x`, null where `x` is null. */
+    def index(x: Column): Column = Bins.index(x, lit(lo), lit(width), n)
+
+    /** Dense counts from (bin, count) cells. */
+    def counts(cells: Iterable[(Int, Long)]): Array[Long] = {
+      val out = new Array[Long](n)
+      cells.foreach { case (b, c) => if (b >= 0 && b < n) out(b) += c }
+      out
+    }
   }
 
-  /** Edges of `bins` bins of `width` from `lo`, or from 0.0 when `lo` is NaN (no finite value). */
-  private[repro] def edgesOf(lo: Double, width: Double, bins: Int): Array[Double] =
-    Array.tabulate(bins + 1)(i => (if (lo.isNaN) 0.0 else lo) + i * width)
+  object Bins {
+    /** Bins of [min, max]: a width of 1.0 when the range is empty, undefined
+      * or overflows a double, and a start at 0.0 when `min` is NaN (the
+      * column has no finite value).
+      */
+    def of(min: Double, max: Double, n: Int): Bins = {
+      val w = (max - min) / n
+      Bins(if (min.isNaN) 0.0 else min, if (w.isNaN || w.isInfinite || w <= 0) 1.0 else w, n)
+    }
 
-  /** Dense counts of `bins` bins from (bin, count) cells. */
-  private[repro] def countsOf(bins: Int, cells: Iterable[(Int, Long)]): Array[Long] = {
-    val counts = new Array[Long](bins)
-    cells.foreach { case (b, n) => if (b >= 0 && b < bins) counts(b) += n }
-    counts
+    /** Bin of `x` in `n` bins of `width` from `lo`, with values outside the
+      * range clamped to the first or last bin; the fused histogram passes
+      * per-position literals.
+      */
+    private[SparkStage] def index(x: Column, lo: Column, width: Column, n: Int): Column =
+      when(x.isNotNull, least(lit(n - 1), greatest(lit(0), floor((x - lo) / width))).cast("int"))
   }
 
   /** A numeric column's histogram, its bin counts over the rows a keep-flag
@@ -222,22 +233,22 @@ object SparkStage extends Reductions {
   def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int,
                  keep: Column): Map[String, BinnedColumn] = {
     if (stats.isEmpty) return Map.empty
-    val widths = stats.map(s => widthOf(s.min, s.max, bins))
+    val columnBins = stats.map(s => Bins.of(s.min, s.max, bins))
     val fences = stats.map(LocalStage.fences)
     val value = col("value")
     val byPos = df.select(posexplode(array(stats.map(s => cleanNum(s.name)): _*)).as(Seq("pos", "value")),
         keep.as("keep"))
       .where(value.isNotNull)
-      .groupBy(col("pos"), binOf(value, atPos(stats.map(_.min)), atPos(widths), bins).as("bin"))
+      .groupBy(col("pos"),
+        Bins.index(value, atPos(columnBins.map(_.lo)), atPos(columnBins.map(_.width)), bins).as("bin"))
       .agg(count(lit(1)), count(when(col("keep"), 1)),
         count(when(value < atPos(fences.map(_._1)) || value > atPos(fences.map(_._2)), 1)))
       .collect()
       .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getLong(2), r.getLong(3), r.getLong(4)))
-    stats.zipWithIndex.map { case (s, p) =>
+    stats.zip(columnBins).zipWithIndex.map { case ((s, b), p) =>
       val cells = byPos.getOrElse(p, Nil)
-      s.name -> BinnedColumn(
-        Histogram(s.name, edgesOf(s.min, widths(p), bins), countsOf(bins, cells.map(c => (c._1, c._2)))),
-        countsOf(bins, cells.map(c => (c._1, c._3))), cells.map(_._4).sum)
+      s.name -> BinnedColumn(Histogram(s.name, b.edges, b.counts(cells.map(c => (c._1, c._2)))),
+        b.counts(cells.map(c => (c._1, c._3))), cells.map(_._4).sum)
     }.toMap
   }
 
@@ -245,15 +256,14 @@ object SparkStage extends Reductions {
   // Frequencies: ALL categorical columns in one job.
   // ---------------------------------------------------------------------
 
-  def frequencies(df: DataFrame, cols: Seq[String],
-                  maxDistinct: Int): Map[String, Seq[(String, Long)]] =
-    frequencies(df, cols, maxDistinct, lit(true)).map { case (c, vs) => c -> vs.map(v => (v._1, v._2)) }
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]] =
+    frequencies(df, cols, topK, lit(true)).map { case (c, vs) => c -> vs.map(v => (v._1, v._2)) }
 
   /** (value, count, count where `keep` holds) of every listed categorical
-    * column in one action, capped at `maxDistinct` values per column (most
-    * frequent first).
+    * column in one action: the `topK` most frequent values per column, the
+    * values a bar chart shows (most frequent first).
     */
-  def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int,
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int,
                   keep: Column): Map[String, Seq[(String, Long, Long)]] = {
     if (cols.isEmpty) return Map.empty
     val arr = array(cols.map(c => colRef(c).cast(StringType)): _*)
@@ -264,7 +274,7 @@ object SparkStage extends Reductions {
     val w = Window.partitionBy(col("pos")).orderBy(col("count").desc, col("value"))
     val rows = counted
       .withColumn("rn", row_number().over(w))
-      .where(col("rn") <= maxDistinct)
+      .where(col("rn") <= topK)
       .collect()
     val byPos = rows.map(r => (r.getInt(0), r.getString(1), r.getLong(2), r.getLong(3))).toSeq.groupBy(_._1)
     cols.zipWithIndex.map { case (c, p) =>
@@ -308,8 +318,8 @@ object SparkStage extends Reductions {
     * down to ~`maxRows` rows when the table is larger. Returns column-major
     * arrays aligned with `cols`; nulls arrive as NaN.
     */
-  def collectNumericMatrix(df: DataFrame, cols: Seq[String], totalRows: Long,
-                           maxRows: Long): Array[Array[Double]] = {
+  private[repro] def collectNumericMatrix(df: DataFrame, cols: Seq[String], totalRows: Long,
+                                          maxRows: Long): Array[Array[Double]] = {
     val proj = df.select(cols.map(c => coalesce(cleanNum(c), lit(Double.NaN))): _*)
     val sampled =
       if (totalRows > maxRows && totalRows > 0)
@@ -326,14 +336,14 @@ object SparkStage extends Reductions {
     out
   }
 
-  /** Every coefficient of every pair of `cols`: one sampled collect of the
-    * numeric matrix feeds all methods, computed locally.
+  /** Every method's coefficient of each listed pair of `cols`: one sampled
+    * collect of the numeric matrix feeds all of them, computed locally; no
+    * job when there is no pair or no method.
     */
-  def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
-                   maxRows: Long): Map[String, Map[(String, String), Double]] =
-    if (cols.size < 2) Map.empty
-    else LocalStage.coefficients(cols, collectNumericMatrix(df, cols, rows, maxRows), methods,
-      for (i <- cols.indices; j <- i + 1 until cols.size) yield (i, j))
+  def correlations(df: DataFrame, cols: Seq[String], pairs: Seq[(Int, Int)], rows: Long,
+                   methods: Seq[String], maxRows: Long): Map[String, Map[(String, String), Double]] =
+    if (pairs.isEmpty || methods.isEmpty) methods.map(_ -> Map.empty[(String, String), Double]).toMap
+    else LocalStage.coefficients(cols, collectNumericMatrix(df, cols, rows, maxRows), methods, pairs)
 
   // ---------------------------------------------------------------------
   // Missing-value reductions.
@@ -405,73 +415,51 @@ object SparkStage extends Reductions {
   def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)],
             xBins: Int, yBins: Int): Seq[Grid2D] = {
     if (pairs.isEmpty) return Nil
-    val widths = pairs.map { case (a, b) => (widthOf(a.min, a.max, xBins), widthOf(b.min, b.max, yBins)) }
-    val cells = pairs.zip(widths).map { case ((a, b), (xw, yw)) =>
+    val bins = pairs.map { case (a, b) => (Bins.of(a.min, a.max, xBins), Bins.of(b.min, b.max, yBins)) }
+    val cells = pairs.zip(bins).map { case ((a, b), (xb, yb)) =>
       val x = cleanNum(a.name); val y = cleanNum(b.name)
-      // null unless both are present: binOf alone would put a null in bin 0
-      when(x.isNotNull && y.isNotNull, struct(binOf(x, lit(a.min), lit(xw), xBins).as("xb"),
-        binOf(y, lit(b.min), lit(yw), yBins).as("yb")))
+      // null unless both are present, so the pair counts only its complete rows
+      when(x.isNotNull && y.isNotNull, struct(xb.index(x).as("xb"), yb.index(y).as("yb")))
     }
     val byPos = df.select(posexplode(array(cells: _*)).as(Seq("pos", "cell")))
       .where(col("cell").isNotNull)
       .groupBy(col("pos"), col("cell.xb"), col("cell.yb"))
       .count().collect()
       .toSeq.groupMap(_.getInt(0))(r => (r.getInt(1), r.getInt(2), r.getLong(3)))
-    pairs.zip(widths).zipWithIndex.map { case (((a, b), (xw, yw)), p) =>
+    pairs.zip(bins).zipWithIndex.map { case (((a, b), (xb, yb)), p) =>
       val byX = byPos.getOrElse(p, Nil).groupMap(_._1)(c => (c._2, c._3))
-      Grid2D(a.name, b.name, edgesOf(a.min, xw, xBins), edgesOf(b.min, yw, yBins),
-        Array.tabulate(xBins)(i => countsOf(yBins, byX.getOrElse(i, Nil))))
+      Grid2D(a.name, b.name, xb.edges, yb.edges, Array.tabulate(xBins)(i => yb.counts(byX.getOrElse(i, Nil))))
     }
   }
 
-  /** Quantiles + count of `y` within each `x` bin (binned box plot), one
-    * action. Returns (bin index, [min q1 median q3 max], count).
+  /** Count and [min, q1, median, q3, max] of `y` in each group of `key`
+    * over the rows where both are present, for the `limit` most frequent
+    * groups (ties by key), one action: the binned box plot (key = x bin)
+    * and the categorical box plot (key = category).
     */
-  def binnedQuantiles(df: DataFrame, x: String, y: String,
-                      xMin: Double, xMax: Double,
-                      bins: Int): (Array[Double], Seq[(Int, Array[Double], Long)]) = {
-    val w = widthOf(xMin, xMax, bins)
-    val xc = cleanNum(x); val yc = cleanNum(y)
-    val rows = df.where(xc.isNotNull && yc.isNotNull)
-      .groupBy(binOf(xc, lit(xMin), lit(w), bins).as("xb"))
-      .agg(fiveNumbers(yc).as("qs"), count(lit(1)).as("cnt"))
+  def groupedFiveNumbers[K](df: DataFrame, key: Column, y: String,
+                            limit: Int): Seq[(K, Long, Array[Double])] =
+    df.select(key.as("k"), cleanNum(y).as("y"))
+      .where(col("k").isNotNull && col("y").isNotNull)
+      .groupBy(col("k"))
+      .agg(count(lit(1)).as("cnt"), fiveNumbers(col("y")))
+      .orderBy(col("cnt").desc, col("k"))
+      .limit(limit)
       .collect()
-    val out = rows.map { r =>
-      (r.getInt(0), r.getSeq[Double](1).toArray, r.getLong(2))
-    }.toSeq.sortBy(_._1)
-    (edgesOf(xMin, w, bins), out)
-  }
-
-  /** Per-category count, mean and quantiles of a numeric column (NC
-    * bivariate: categorical box plot + per-category lines), one action.
-    */
-  def groupedNumericStats(df: DataFrame, cat: String, num: String,
-                          maxGroups: Int): Seq[(String, Long, Double, Array[Double])] = {
-    val yc = cleanNum(num)
-    val g = df.where(colRef(cat).isNotNull && yc.isNotNull)
-      .groupBy(colRef(cat).cast(StringType).as("g"))
-      .agg(count(lit(1)).as("cnt"), avg(yc).as("mean"), fiveNumbers(yc).as("qs"))
-      .orderBy(col("cnt").desc, col("g"))
-      .limit(maxGroups)
-    g.collect().map(r =>
-      (r.getString(0), r.getLong(1), r.getDouble(2), r.getSeq[Double](3).toArray)).toSeq
-  }
+      .map(r => (r.getAs[K](0), r.getLong(1), r.getSeq[Double](2).toArray)).toSeq
 
   /** Histogram of a numeric column within each of the given categories
-    * (multi-line chart), one action. Binning fixed from full min/max;
-    * returns the bin edges with the counts per category.
+    * (multi-line chart), one action, every category binned by `bins`.
     */
-  def groupedHistograms(df: DataFrame, cat: String, num: String,
-                        categories: Seq[String], min: Double, max: Double,
-                        bins: Int): (Array[Double], Map[String, Array[Long]]) = {
-    val w = widthOf(min, max, bins)
-    if (categories.isEmpty) return (edgesOf(min, w, bins), Map.empty)
+  def groupedHistograms(df: DataFrame, cat: String, num: String, categories: Seq[String],
+                        bins: Bins): Map[String, Array[Long]] = {
+    if (categories.isEmpty) return Map.empty
     val yc = cleanNum(num)
     val catStr = colRef(cat).cast(StringType)
     val byCat = df.where(catStr.isin(categories: _*) && yc.isNotNull)
-      .groupBy(catStr.as("g"), binOf(yc, lit(min), lit(w), bins).as("bin")).count().collect()
+      .groupBy(catStr.as("g"), bins.index(yc).as("bin")).count().collect()
       .toSeq.groupMap(_.getString(0))(r => (r.getInt(1), r.getLong(2)))
-    (edgesOf(min, w, bins), categories.map(c => c -> countsOf(bins, byCat.getOrElse(c, Nil))).toMap)
+    categories.map(c => c -> bins.counts(byCat.getOrElse(c, Nil))).toMap
   }
 
   /** Cells a cross tabulation keeps, most frequent first. */

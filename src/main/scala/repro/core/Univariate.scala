@@ -59,18 +59,17 @@ object Univariate {
 
   def categorical(df: DataFrame, column: String, cfg: EdaConfig): CategoricalUnivariate = {
     val s = SparkStage.categoricalStats(df, Seq(column))(column)
-    fromCatStats(s, cfg, SparkStage.frequencies(df, Seq(column), cfg.int("freq.maxdistinct")),
+    fromCatStats(s, cfg, SparkStage.frequencies(df, Seq(column), cfg.int("bar.topk")),
       SparkStage.wordFrequencies(df, column, cfg.int("wordfreq.topk")))
   }
 
-  /** Categorical univariate from pass-1 stats, the value counts and the
-    * word frequencies (empty in createReport, which omits word clouds,
-    * matching the profile report).
+  /** Categorical univariate from pass-1 stats, the top `bar.topk` value
+    * counts and the word frequencies (empty in createReport, which omits
+    * word clouds, matching the profile report).
     */
   def fromCatStats(s: CategoricalStats, cfg: EdaConfig, rawFreqs: Map[String, Seq[(String, Long)]],
                    words: WordFrequencies): CategoricalUnivariate = {
-    val freq = CategoryFrequencies(s.name, rawFreqs.getOrElse(s.name, Nil).take(cfg.int("bar.topk")),
-      s.distinct, s.count)
+    val freq = CategoryFrequencies(s.name, rawFreqs.getOrElse(s.name, Nil), s.distinct, s.count)
     CategoricalUnivariate(s, freq, words, Insights.categorical(s, cfg))
   }
 }

@@ -24,15 +24,15 @@ object PerPlot extends Reductions {
   def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn] =
     stats.flatMap(s => SparkStage.histograms(df, Seq(s), bins)).toMap
 
-  def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =
-    cols.flatMap(c => SparkStage.frequencies(df, Seq(c), maxDistinct)).toMap
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]] =
+    cols.flatMap(c => SparkStage.frequencies(df, Seq(c), topK)).toMap
 
   def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D] =
     pairs.flatMap(p => SparkStage.grids(df, Seq(p), xBins, yBins))
 
-  def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
-                   maxRows: Long): Map[String, Map[(String, String), Double]] =
-    SparkStage.correlations(df, cols, rows, methods, maxRows)
+  def correlations(df: DataFrame, cols: Seq[String], pairs: Seq[(Int, Int)], rows: Long,
+                   methods: Seq[String], maxRows: Long): Map[String, Map[(String, String), Double]] =
+    SparkStage.correlations(df, cols, pairs, rows, methods, maxRows)
 
   def missing(df: DataFrame, cols: Seq[String], nBuckets: Int): Missing.MissingCounts =
     SparkStage.missing(df, cols, nBuckets)

@@ -7,7 +7,7 @@ import scala.concurrent.duration.Duration
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.{ListenerBusDrain, SparkException}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{ActiveJobs, SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, udf}
 
@@ -58,13 +58,13 @@ class ConcurrencySpec extends SparkSpec {
     def tableCounts(df: DataFrame): (Long, Long) = SparkStage.tableCounts(df)
     def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn] =
       SparkStage.histograms(df, stats, bins)
-    def frequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int): Map[String, Seq[(String, Long)]] =
+    def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]] =
       throw error
     def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D] =
       SparkStage.grids(df, pairs, xBins, yBins)
-    def correlations(df: DataFrame, cols: Seq[String], rows: Long, methods: Seq[String],
-                     maxRows: Long): Map[String, Map[(String, String), Double]] =
-      SparkStage.correlations(df, cols, rows, methods, maxRows)
+    def correlations(df: DataFrame, cols: Seq[String], pairs: Seq[(Int, Int)], rows: Long,
+                     methods: Seq[String], maxRows: Long): Map[String, Map[(String, String), Double]] =
+      SparkStage.correlations(df, cols, pairs, rows, methods, maxRows)
     def missing(df: DataFrame, cols: Seq[String], nBuckets: Int): Missing.MissingCounts =
       SparkStage.missing(df, cols, nBuckets)
   }
@@ -74,8 +74,7 @@ class ConcurrencySpec extends SparkSpec {
     val thrown = intercept[IllegalStateException](
       Eda.computeReportIntermediates(df, cfg, failingFrequencies(error)))
     assert(thrown eq error)
-    ListenerBusDrain(spark.sparkContext)
-    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+    assert(ActiveJobs(spark.sparkContext).isEmpty)
   }
 
   test("createReport rethrows a failing Spark job's exception, not a wrapper or a timeout") {
@@ -85,8 +84,7 @@ class ConcurrencySpec extends SparkSpec {
     assert(thrown.isInstanceOf[SparkException], thrown)
     assert(Iterator.iterate(thrown)(_.getCause).takeWhile(_ != null)
       .exists(e => e.isInstanceOf[ArithmeticException] && e.getMessage == "boom"), thrown)
-    ListenerBusDrain(spark.sparkContext)
-    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+    assert(ActiveJobs(spark.sparkContext).isEmpty)
   }
 
   test("every job of a report carries the caller's job group") {

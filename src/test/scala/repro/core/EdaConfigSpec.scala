@@ -78,12 +78,6 @@ class EdaConfigSpec extends SparkSpec with JobCounting {
     assert(e.getMessage.contains("scatter.sample"), e.getMessage)
     assert(EdaConfig.from(Map("scatter.sample" -> 0)).int("scatter.sample") == 0)
   }
-  test("a non-positive freq.maxdistinct is rejected, naming the key") {
-    for (v <- Seq(0, -2)) {
-      val e = intercept[IllegalArgumentException](EdaConfig.from(Map("freq.maxdistinct" -> v)))
-      assert(e.getMessage.contains("freq.maxdistinct"), e.getMessage)
-    }
-  }
 
   // one out-of-range value per key: counts must be positive, thresholds in range
   Seq("hist.gridpoints" -> 0, "qq.points" -> -1,

@@ -46,12 +46,28 @@ class JobCountSpec extends SparkSpec with JobCounting {
     ("plotMissing(df, cat_0)", Eda.plotMissing(_, "cat_0"), 5),
     ("plotMissing(df, num_0, num_1)", Eda.plotMissing(_, "num_0", "num_1"), 5),
     ("plotMissing(df, num_0, cat_2)", Eda.plotMissing(_, "num_0", "cat_2"), 2),
+    // no rank method: no numeric-matrix collect
+    ("plotCorrelation(df, num_0, num_1) with only pearson",
+      Eda.plotCorrelation(_, "num_0", "num_1", Map("corr.methods" -> Seq("pearson"))), 2),
+    ("plotCorrelation(df, num_0, num_1) with no method",
+      Eda.plotCorrelation(_, "num_0", "num_1", Map("corr.methods" -> Seq())), 2),
+    ("createReport with no correlation method", Eda.createReport(_, Map("corr.methods" -> Seq())), 9),
   )
 
   taskJobs.foreach { case (task, run, jobs) =>
     test(s"$task runs $jobs Spark jobs on a narrow and a wide table") {
       assert(jobsOf(run(narrow)) == jobs)
       assert(jobsOf(run(wide)) == jobs)
+    }
+  }
+
+  test("plotCorrelation(df, num_0) runs 2 Spark jobs when num_0 is the only numeric column") {
+    // num_0 has no pair: pass 1 only, no numeric-matrix collect
+    for (d <- Seq(EdaData.dataset(spark, 1000, 1, 5), EdaData.dataset(spark, 1000, 1, 20))) {
+      val cached = d.cache()
+      cached.count()
+      try assert(jobsOf(Eda.plotCorrelation(cached, "num_0")) == 2)
+      finally cached.unpersist()
     }
   }
 }

@@ -286,7 +286,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   // ---------------------------------------------------------------------
 
-  test("missingSpectrum: per-column missing totals match the bar counts") {
+  test("missing: per-column missing totals match the bar counts") {
     val sp = SparkStage.missing(df, Seq("x", "s"), 3).spectrum
     val missX = sp.buckets.indices.map(b =>
       sp.missingFraction(b)(0) * (sp.buckets(b)._2 - sp.buckets(b)._1 + 1)).sum
@@ -296,14 +296,14 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assertApprox(missS, 1.0, 1e-9, "s missing")
   }
 
-  test("missingSpectrum: buckets partition the rows") {
+  test("missing: buckets partition the rows") {
     val sp = SparkStage.missing(df, Seq("x"), 3).spectrum
     assert(sp.buckets.head._1 == 0)
     assert(sp.buckets.last._2 == 6)
     assert(sp.buckets.sliding(2).forall(p => p(0)._2 + 1 == p(1)._1))
   }
 
-  test("missingPatterns: disagreement counts recoverable from sums") {
+  test("missing: disagreement counts recoverable from sums") {
     val d = Seq(
       (Option(1.0), Option("a")), (None: Option[Double], Option("b")),
       (None: Option[Double], None: Option[String]), (Option(2.0), Option("c")),
@@ -317,7 +317,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   // ---------------------------------------------------------------------
 
-  test("grid2d: total count equals pairwise-complete rows") {
+  test("grids: total count equals pairwise-complete rows") {
     val d2 = Seq((Option(1.0), Option(1.0)), (Option(2.0), None),
       (Option(3.0), Option(2.0))).toDF("x", "y")
     val Seq(xs2, ys2) = statsOf(d2, "x", "y")
@@ -326,7 +326,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(g.xEdges.length == 5 && g.yEdges.length == 5)
   }
 
-  test("grid2d: counts match DuckDB cross-binning") {
+  test("grids: counts match DuckDB cross-binning") {
     val d2 = (1 to 50).map(i => (i.toDouble, (i * 7 % 13).toDouble)).toDF("x", "y")
     val Seq(xs2, ys2) = statsOf(d2, "x", "y")
     val Seq(g) = SparkStage.grids(d2, Seq((xs2, ys2)), 5, 5)
@@ -363,32 +363,65 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     }
   }
 
-  test("binnedQuantiles: per-bin counts sum to pairwise-complete rows") {
+  test("groupedFiveNumbers: per-bin counts sum to pairwise-complete rows") {
     val d2 = (1 to 40).map(i => (i.toDouble, i * 2.0)).toDF("x", "y")
-    val (edges, qs) = SparkStage.binnedQuantiles(d2, "x", "y", 1, 40, 4)
-    assert(edges.length == 5)
-    assert(qs.map(_._3).sum == 40)
-    qs.foreach { case (_, q, _) => assert(q.length == 5 && q.sliding(2).forall(p => p(0) <= p(1))) }
+    val bins = SparkStage.Bins.of(1, 40, 4)
+    val qs = SparkStage.groupedFiveNumbers[Int](d2, bins.index(SparkStage.cleanNum("x")), "y", bins.n)
+    assert(bins.edges.length == 5)
+    assert(qs.map(_._2).sum == 40)
+    qs.foreach { case (_, _, q) => assert(q.length == 5 && q.sliding(2).forall(p => p(0) <= p(1))) }
   }
 
-  test("groupedNumericStats: count and mean match DuckDB") {
+  /** The categorical box plot's grouping: each category's values. */
+  private def byCategory(d: DataFrame, limit: Int) =
+    SparkStage.groupedFiveNumbers[String](d, SparkStage.colRef("g").cast(StringType), "v", limit)
+
+  test("groupedFiveNumbers: count matches DuckDB") {
     val d2 = Seq(("a", 1.0), ("a", 3.0), ("b", 10.0)).toDF("g", "v")
-    val got = SparkStage.groupedNumericStats(d2, "g", "v", 10)
-      .map(t => (t._1, t._2, t._3)).toDF("g", "cnt", "m")
-    Oracle.assertEquivalent(got,
-      "SELECT g, count(*) AS cnt, avg(CAST(v AS DOUBLE)) AS m FROM t GROUP BY g", "t" -> d2)
+    val got = byCategory(d2, 10).map(t => (t._1, t._2)).toDF("g", "cnt")
+    Oracle.assertEquivalent(got, "SELECT g, count(*) AS cnt FROM t GROUP BY g", "t" -> d2)
   }
 
-  test("groupedNumericStats: caps at the most frequent groups") {
+  test("groupedFiveNumbers: caps at the most frequent groups") {
     val d2 = Seq(("a", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0)).toDF("g", "v")
-    val out = SparkStage.groupedNumericStats(d2, "g", "v", 1)
+    val out = byCategory(d2, 1)
     assert(out.size == 1 && out.head._1 == "a")
   }
 
   test("groupedHistograms: per-category totals") {
     val d2 = Seq(("a", 1.0), ("a", 2.0), ("b", 3.0)).toDF("g", "v")
-    val (_, hs) = SparkStage.groupedHistograms(d2, "g", "v", Seq("a", "b"), 1.0, 3.0, 2)
+    val hs = SparkStage.groupedHistograms(d2, "g", "v", Seq("a", "b"), SparkStage.Bins.of(1.0, 3.0, 2))
     assert(hs("a").sum == 2 && hs("b").sum == 1)
+  }
+
+  test("Bins: empty, undefined and overflowing ranges, and clamping, as the rule before Bins") {
+    import SparkStage.Bins
+    // the rule as each call site spelled it before `Bins`
+    def widthOf(lo: Double, hi: Double, n: Int): Double = {
+      val w = (hi - lo) / n
+      if (w.isNaN || w.isInfinite || w <= 0) 1.0 else w
+    }
+    def edgesOf(lo: Double, w: Double, n: Int): Array[Double] =
+      Array.tabulate(n + 1)(i => (if (lo.isNaN) 0.0 else lo) + i * w)
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    val ranges = Seq((5.0, 5.0), (Double.NaN, Double.NaN), (-1e308, 1e308), (0.0, 10.0),
+      (-0.0, 0.0), (-3.7, 2.1), (0.1, 0.3))
+    for ((lo, hi) <- ranges; n <- Seq(1, 3, 50)) {
+      val b = Bins.of(lo, hi, n)
+      assert(bits(b.edges) == bits(edgesOf(lo, widthOf(lo, hi, n), n)), s"[$lo, $hi] in $n bins")
+    }
+    assert(Bins.of(5.0, 5.0, 4) == Bins(5.0, 1.0, 4))
+    assert(Bins.of(Double.NaN, Double.NaN, 3) == Bins(0.0, 1.0, 3))
+    assert(Bins.of(-1e308, 1e308, 10) == Bins(-1e308, 1.0, 10))
+
+    def binsOf(b: Bins, values: Option[Double]*): Seq[Option[Int]] =
+      values.toDF("x").select(b.index($"x")).collect().toSeq.map(r => Option(r.get(0)).map(_.asInstanceOf[Int]))
+    // a value beyond max lands in the last bin, below min in the first; null has none
+    assert(binsOf(Bins.of(0.0, 10.0, 5), Some(12.0), Some(10.0), Some(9.9), Some(-3.0), Some(0.0), None) ==
+      Seq(Some(4), Some(4), Some(4), Some(0), Some(0), None))
+    assert(binsOf(Bins.of(-1e308, 1e308, 10), Some(1e308), Some(-1e308), Some(0.0)) == Seq(Some(9), Some(0), Some(9)))
+    assert(binsOf(Bins.of(5.0, 5.0, 4), Some(5.0)) == Seq(Some(0)))
+    assert(Bins(0.0, 1.0, 3).counts(Seq((0, 2L), (2, 1L), (0, 3L), (7, 9L))).toSeq == Seq(5L, 0L, 1L))
   }
 
   test("contingency: matches DuckDB cross tabulation") {
