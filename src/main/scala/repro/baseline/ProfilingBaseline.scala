@@ -56,17 +56,6 @@ object ProfilingBaseline extends Reductions {
       zeros, negatives, infinites, sm, percentiles)
   }.toMap
 
-  def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats] = cols.map { c =>
-    val s = colRef(c).cast(StringType)
-    c -> CategoricalStats(c,
-      count = firstLong(df, org.apache.spark.sql.functions.count(s)),
-      missing = firstLong(df, org.apache.spark.sql.functions.count(when(s.isNull, 1))),
-      distinct = firstLong(df, count_distinct(s)),
-      minLength = firstLong(df, min(length(s))),
-      maxLength = firstLong(df, max(length(s))),
-      avgLength = firstDouble(df, avg(length(s))))
-  }.toMap
-
   /** The row count, then the distinct rows: one action each. */
   def tableCounts(df: DataFrame): (Long, Long) = {
     val rows = df.count()
@@ -82,18 +71,29 @@ object ProfilingBaseline extends Reductions {
       val x = cleanNum(s.name)
       val rows = df.where(x.isNotNull).groupBy(b.index(x).as("bin")).count().collect()
       val hist = Histogram(s.name, b.edges, b.counts(rows.map(r => (r.getInt(0), r.getLong(1)))))
-      val (lo, hi) = LocalStage.fences(s)
+      val (lo, hi) = LocalStage.fences(s.q1, s.q3)
       s.name -> SparkStage.BinnedColumn(hist, hist.counts, firstLong(df, count(when(x < lo || x > hi, 1))))
     }.toMap
 
-  /** One frequency job per column. */
-  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]] =
-    cols.map(c => c -> df.where(colRef(c).isNotNull)
-      .groupBy(colRef(c).cast(StringType).as("v")).count()
-      .orderBy(col("count").desc, col("v"))
-      .limit(topK)
-      .collect()
-      .map(r => (r.getString(0), r.getLong(1))).toSeq).toMap
+  /** One action per statistic and one frequency job per column; every row is kept. */
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, SparkStage.CountedColumn] =
+    cols.map { c =>
+      val s = colRef(c).cast(StringType)
+      val stats = CategoricalStats(c,
+        count = firstLong(df, org.apache.spark.sql.functions.count(s)),
+        missing = firstLong(df, org.apache.spark.sql.functions.count(when(s.isNull, 1))),
+        distinct = firstLong(df, count_distinct(s)),
+        minLength = firstLong(df, min(length(s))),
+        maxLength = firstLong(df, max(length(s))),
+        avgLength = firstDouble(df, avg(length(s))))
+      val top = df.where(colRef(c).isNotNull)
+        .groupBy(s.as("v")).count()
+        .orderBy(col("count").desc, col("v"))
+        .limit(topK)
+        .collect()
+        .map(r => (r.getString(0), r.getLong(1), r.getLong(1))).toSeq
+      c -> SparkStage.CountedColumn(stats, top)
+    }.toMap
 
   /** One 2-D grid job per pair. */
   def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D] =

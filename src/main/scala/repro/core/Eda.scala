@@ -21,12 +21,14 @@ import repro.core.ReportModel.Report
   */
 object Eda {
 
-  /** Validate the user config and tune the session for the interactive
-    * small-data regime (see EngineTuning) — the paper's engine-choice step.
+  /** Validate the user config, then tune the session for the interactive
+    * small-data regime (see EngineTuning) — the paper's engine-choice step;
+    * a rejected config leaves the session as it was.
     */
   private def cfgOf(df: DataFrame, config: Map[String, Any]): EdaConfig = {
+    val cfg = EdaConfig.from(config)
     EngineTuning.tune(df.sparkSession)
-    EdaConfig.from(config)
+    cfg
   }
 
   /** The columns a call names, in order: none, col1, or col1 and col2. */
@@ -78,17 +80,17 @@ object Eda {
       correlations: Correlation.CorrelationIntermediates,
       missing: Missing.MissingOverviewIntermediates)
 
-  /** The fused report pipeline (the DataPrep.EDA column of Table 2): 10
+  /** The fused report pipeline (the DataPrep.EDA column of Table 2): 9
     * Spark actions regardless of column count, in two waves of concurrent
     * jobs —
     *
     *  1. wave 1, the reductions that need nothing computed first: pass 1
     *     (the precompute stage) as the numeric statistics of every numeric
-    *     column (two jobs), the categorical statistics of every categorical
-    *     column (one job) and the table's row and duplicate-row counts (one
+    *     column (two jobs) and the table's row and duplicate-row counts (one
     *     job), shared by the Overview section, every Variables section and
     *     the correlation variance bookkeeping; one job for all frequency
-    *     tables; and, for missing values, one row-count job and one
+    *     tables, which also gives every categorical column's statistics;
+    *     and, for missing values, one row-count job and one
     *     `groupBy(spectrum bucket, missing pattern)` job, read into the row
     *     count, the spectrum and the both-missing count of every column pair
     *     (bar counts, nullity correlation and dendrogram all come from that
@@ -114,16 +116,15 @@ object Eda {
     val catCols = TypeDetector.categoricalColumns(df)
     val cols = df.columns.toSeq
 
-    val (numeric, categorical, counts, freqs, missingCounts) = concurrently(
+    val (numeric, counts, categorical, missingCounts) = concurrently(
       r.numericStats(df, numCols),
-      r.categoricalStats(df, catCols),
       r.tableCounts(df),
       r.frequencies(df, catCols, cfg.int("bar.topk")),
       r.missing(df, cols, cfg.int("spectrum.bins")))
 
     // Interactions: 2-D grids for the first k numeric pairs with data
     val numStats = numCols.map(numeric)
-    val catStats = catCols.map(categorical)
+    val catColumns = catCols.map(categorical)
     val withData = numStats.filter(_.count > 0)
     val pairs = (for (i <- withData.indices; j <- i + 1 until withData.size)
       yield (withData(i), withData(j))).take(cfg.int("report.interactions"))
@@ -135,11 +136,11 @@ object Eda {
       r.correlations(df, corrCols, Correlation.allPairs(corrCols.size), counts._1,
         cfg.strings("corr.methods"), cfg.long("corr.maxrows")))
 
-    val overview = Overview.fromAggregates(cfg, numStats, catStats, counts,
-      binned.map { case (c, b) => c -> b.histogram }, freqs)
+    val overview = Overview.fromAggregates(cfg, numStats, catColumns, counts,
+      binned.map { case (c, b) => c -> b.histogram })
     val variables: Seq[Univariate.UnivariateIntermediates] =
       numStats.map(Univariate.fromStats(_, cfg, binned)) ++
-        catStats.map(s => Univariate.fromCatStats(s, cfg, freqs, WordFrequencies(s.name, Nil, 0L)))
+        catColumns.map(c => Univariate.fromCounts(c, cfg, WordFrequencies(c.stats.name, Nil, 0L)))
     val correlations = Correlation.matrixFromAggregates(corrCols, numeric, coefficients, cfg)
     val missing = Missing.assembleOverview(cols, missingCounts, cfg)
 

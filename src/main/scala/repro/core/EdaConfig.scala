@@ -27,13 +27,14 @@ object EdaConfig {
   final case class Entry(default: Any, description: String, lo: Double = 1, hi: Double = Double.PositiveInfinity)
 
   /** Every key. Counts that size an array, divide a range or cap a table
-    * are at least 1; fractions, entropies and |r| lie in [0, 1], an L1
-    * distance of two distributions in [0, 2].
+    * are at least 1; a KDE grid has at least 2 points and a Q-Q plot at
+    * most 99, one per percentile of the pass-1 grid; fractions, entropies
+    * and |r| lie in [0, 1], an L1 distance of two distributions in [0, 2].
     */
   val registry: Map[String, Entry] = Map(
     "hist.bins"              -> Entry(50, "number of bins in histograms"),
-    "hist.gridpoints"        -> Entry(200, "number of KDE evaluation grid points"),
-    "qq.points"              -> Entry(99, "number of quantile points in the normal Q-Q plot"),
+    "hist.gridpoints"        -> Entry(200, "number of KDE evaluation grid points", lo = 2),
+    "qq.points"              -> Entry(99, "number of quantile points in the normal Q-Q plot", hi = 99),
     "bar.topk"               -> Entry(10, "number of categories shown in bar/pie charts"),
     "wordfreq.topk"          -> Entry(30, "number of words in the word-frequency chart"),
     "scatter.sample"         -> Entry(1000, "max points sampled for scatter plots", lo = 0),

@@ -56,31 +56,29 @@ object LocalStage {
     methods.zipWithIndex.map { case (m, k) => m -> keys.zip(perPair.map(_(k))).toMap }.toMap
   }
 
-  /** Tukey box plot from the quantile grid; whiskers clamp the 1.5·IQR
-    * fences to the observed min/max; `outliers` counted by the histogram job.
+  /** Tukey box plot from the quantile grid; `outliers` counted by the histogram job. */
+  def boxPlot(stats: NumericStats, outliers: Long): BoxPlot =
+    boxFromFiveNumbers(stats.name, Array(stats.min, stats.q1, stats.median, stats.q3, stats.max))
+      .copy(outliers = outliers)
+
+  /** Tukey fences (lo, hi) at 1.5·IQR beyond the quartiles: the box plots'
+    * whiskers, and the histogram job counts the values beyond them.
     */
-  def boxPlot(stats: NumericStats, outliers: Long): BoxPlot = {
-    val (lowerFence, upperFence) = fences(stats)
-    BoxPlot(stats.name, stats.min, stats.q1, stats.median, stats.q3, stats.max,
-      lowerWhisker = math.max(stats.min, lowerFence),
-      upperWhisker = math.min(stats.max, upperFence),
-      outliers = outliers)
+  def fences(q1: Double, q3: Double): (Double, Double) = {
+    val iqr = q3 - q1
+    (q1 - 1.5 * iqr, q3 + 1.5 * iqr)
   }
 
-  /** Tukey fences (lo, hi); the histogram job counts the values beyond them. */
-  def fences(stats: NumericStats): (Double, Double) =
-    (stats.q1 - 1.5 * stats.iqr, stats.q3 + 1.5 * stats.iqr)
-
-  /** Box plot assembled from a five-number summary [min q1 med q3 max]
-    * (grouped/binned box plots; no outlier pass — whiskers are the fences
-    * clamped to the summary extremes, outlier count not computed).
+  /** Box plot assembled from a five-number summary [min q1 med q3 max]:
+    * whiskers are the fences clamped to the summary extremes, outlier count
+    * not computed (grouped/binned box plots have no outlier pass).
     */
   def boxFromFiveNumbers(name: String, qs: Array[Double]): BoxPlot = {
     require(qs.length == 5, s"five-number summary expected, got ${qs.length}")
-    val iqr = qs(3) - qs(1)
+    val (lowerFence, upperFence) = fences(qs(1), qs(3))
     BoxPlot(name, qs(0), qs(1), qs(2), qs(3), qs(4),
-      lowerWhisker = math.max(qs(0), qs(1) - 1.5 * iqr),
-      upperWhisker = math.min(qs(4), qs(3) + 1.5 * iqr),
+      lowerWhisker = math.max(qs(0), lowerFence),
+      upperWhisker = math.min(qs(4), upperFence),
       outliers = 0L)
   }
 
@@ -99,7 +97,7 @@ object LocalStage {
   def qqPlot(stats: NumericStats, points: Int): QQPlot = {
     if (!stats.hasVariance || stats.percentiles.isEmpty)
       return QQPlot(stats.name, Array.empty, Array.empty)
-    val ps = (1 to math.min(points, 99)).map(_ / 100.0)
+    val ps = (1 to points).map(_ / 100.0)
     val theoretical = ps.map(p => stats.mean + stats.std * LocalStats.normalPpf(p)).toArray
     QQPlot(stats.name, theoretical, ps.map(stats.quantile).toArray)
   }

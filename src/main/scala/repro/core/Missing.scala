@@ -115,7 +115,7 @@ object Missing {
     val hists = SparkStage.histograms(df, numCols.map(stats).filter(_.count > 0), cfg.int("hist.bins"), keep)
       .map { case (c, b) => c -> b.impact }
     val freqs = SparkStage.frequencies(df, catCols, cfg.int("bar.topk"), keep)
-      .map { case (c, vs) => c -> ImpactFrequencies(c, vs) }
+      .map { case (c, f) => c -> ImpactFrequencies(c, f.top) }
     val rows = df.agg(count(lit(1)), count(when(keep, 1))).head()
     val insights = hists.values.toSeq.sortBy(_.column).flatMap(Insights.missingImpact(col1, _, cfg))
     MissingImpactIntermediates(col1, rows.getLong(0), rows.getLong(1), hists, freqs, insights)

@@ -6,11 +6,12 @@ import repro.core.Intermediates._
 /** Overview task — plot(df): dataset statistics plus a histogram per
   * numerical column and a bar chart per categorical column (Figure 2, row 1).
   *
-  * Pipeline: pass 1 (the precompute stage) as three concurrent reductions
-  * — numeric statistics (two jobs), categorical statistics and the table's
-  * row and duplicate-row counts (one job each) — beside one job for ALL
-  * bar charts, then one job for ALL histograms, whose bins need pass 1.
-  * Six Spark actions total, independent of the number of columns.
+  * Pipeline: pass 1 (the precompute stage) as two concurrent reductions
+  * — numeric statistics (two jobs) and the table's row and duplicate-row
+  * counts (one job) — beside one job for ALL bar charts, which also gives
+  * the categorical statistics, then one job for ALL histograms, whose bins
+  * need pass 1. Five Spark actions total, independent of the number of
+  * columns.
   */
 object Overview {
 
@@ -31,28 +32,25 @@ object Overview {
     val numCols = TypeDetector.numericColumns(df)
     val catCols = TypeDetector.categoricalColumns(df)
 
-    val (numeric, categorical, counts, freqs) = Concurrently(df.sparkSession.sparkContext)(
-      r.numericStats(df, numCols), r.categoricalStats(df, catCols), r.tableCounts(df),
-      r.frequencies(df, catCols, cfg.int("bar.topk")))
+    val (numeric, counts, categorical) = Concurrently(df.sparkSession.sparkContext)(
+      r.numericStats(df, numCols), r.tableCounts(df), r.frequencies(df, catCols, cfg.int("bar.topk")))
     val numStats = numCols.map(numeric)
     fromAggregates(cfg, numStats, catCols.map(categorical), counts,
       r.histograms(df, numStats.filter(_.count > 0), cfg.int("hist.bins"))
-        .map { case (c, b) => c -> b.histogram }, freqs)
+        .map { case (c, b) => c -> b.histogram })
   }
 
-  /** The overview from pass 1 (the column stats in schema order and the
-    * table's (rows, duplicate rows)), the histograms of the numeric columns
-    * with data and the top `bar.topk` value counts of the categorical columns.
+  /** The overview from pass 1 (the numeric column stats in schema order and
+    * the table's (rows, duplicate rows)), the frequency reduction of each
+    * categorical column in schema order (its stats and top `bar.topk`
+    * values) and the histograms of the numeric columns with data.
     */
-  def fromAggregates(cfg: EdaConfig, numStats: Seq[NumericStats], catStats: Seq[CategoricalStats],
-                     counts: (Long, Long), hists: Map[String, Histogram],
-                     rawFreqs: Map[String, Seq[(String, Long)]]): OverviewIntermediates = {
+  def fromAggregates(cfg: EdaConfig, numStats: Seq[NumericStats], categorical: Seq[SparkStage.CountedColumn],
+                     counts: (Long, Long), hists: Map[String, Histogram]): OverviewIntermediates = {
     val (rows, duplicateRows) = counts
+    val catStats = categorical.map(_.stats)
     val columns = numStats.size + catStats.size
-
-    val freqs = catStats.map { s =>
-      s.name -> CategoryFrequencies(s.name, rawFreqs.getOrElse(s.name, Nil), s.distinct, s.count)
-    }.toMap
+    val freqs = categorical.map(c => c.stats.name -> c.frequencies).toMap
 
     val dataset = DatasetStats(
       rows = rows, columns = columns,

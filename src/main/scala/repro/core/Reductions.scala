@@ -17,9 +17,6 @@ private[repro] trait Reductions {
   /** Pass-1 statistics of each listed numeric column; no job when none is listed. */
   def numericStats(df: DataFrame, cols: Seq[String]): Map[String, NumericStats]
 
-  /** Pass-1 statistics of each listed categorical column; no job when none is listed. */
-  def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats]
-
   /** (rows, duplicate rows) of the table. */
   def tableCounts(df: DataFrame): (Long, Long)
 
@@ -28,8 +25,10 @@ private[repro] trait Reductions {
     */
   def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn]
 
-  /** The `topK` most frequent values of each listed column with their counts. */
-  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]]
+  /** Statistics of each listed categorical column beside its `topK` most
+    * frequent values with their counts; no job when none is listed.
+    */
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, SparkStage.CountedColumn]
 
   /** 2-D grid of each (x, y) pair over its complete rows, binned from the pair's stats. */
   def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D]

@@ -134,29 +134,6 @@ object SparkStage extends Reductions {
     }.toMap
   }
 
-  /** Pass-1 statistics of every listed categorical column (totals, missing,
-    * distincts, string-length stats), one `posexplode → groupBy(columnIndex)`
-    * action, none when no column is listed.
-    */
-  def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats] = {
-    if (cols.isEmpty) return Map.empty
-    val value = col("value")
-    val byPos = df
-      .select(posexplode(array(cols.map(c => colRef(c).cast(StringType)): _*)).as(Seq("pos", "value")))
-      .groupBy(col("pos"))
-      .agg(count(value), count(when(value.isNull, 1)), count_distinct(value),
-        min(length(value)), max(length(value)), avg(length(value)))
-      .collect()
-      .map(r => r.getInt(0) -> r).toMap
-    cols.zipWithIndex.map { case (c, p) =>
-      c -> (byPos.get(p) match {
-        case Some(r) => CategoricalStats(c, getLong(r, 1), getLong(r, 2), getLong(r, 3),
-          getLong(r, 4), getLong(r, 5), getDouble(r, 6))
-        case None => CategoricalStats(c, 0, 0, 0, 0, 0, Double.NaN)
-      })
-    }.toMap
-  }
-
   /** Distinct rows of `df`, every column compared as a string. */
   private[repro] def distinctRows(df: DataFrame): Column =
     count_distinct(struct(df.columns.toSeq.map(c => colRef(c).cast(StringType)): _*))
@@ -234,7 +211,7 @@ object SparkStage extends Reductions {
                  keep: Column): Map[String, BinnedColumn] = {
     if (stats.isEmpty) return Map.empty
     val columnBins = stats.map(s => Bins.of(s.min, s.max, bins))
-    val fences = stats.map(LocalStage.fences)
+    val fences = stats.map(s => LocalStage.fences(s.q1, s.q3))
     val value = col("value")
     val byPos = df.select(posexplode(array(stats.map(s => cleanNum(s.name)): _*)).as(Seq("pos", "value")),
         keep.as("keep"))
@@ -256,29 +233,59 @@ object SparkStage extends Reductions {
   // Frequencies: ALL categorical columns in one job.
   // ---------------------------------------------------------------------
 
-  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]] =
-    frequencies(df, cols, topK, lit(true)).map { case (c, vs) => c -> vs.map(v => (v._1, v._2)) }
+  /** A categorical column's statistics and its most frequent values, each
+    * with its count over every row and over the rows a keep-flag holds for.
+    */
+  final case class CountedColumn(stats: CategoricalStats, top: Seq[(String, Long, Long)]) {
+    /** The bar chart: the top values over every row, beside the column's totals. */
+    def frequencies: CategoryFrequencies =
+      CategoryFrequencies(stats.name, top.map(t => (t._1, t._2)), stats.distinct, stats.count)
+  }
 
-  /** (value, count, count where `keep` holds) of every listed categorical
-    * column in one action: the `topK` most frequent values per column, the
-    * values a bar chart shows (most frequent first).
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, CountedColumn] =
+    frequencies(df, cols, topK, lit(true))
+
+  /** Statistics and `topK` most frequent values (ties by value) of every
+    * listed categorical column, one action, none when no column is listed.
+    * One `posexplode → groupBy(pos, value)` counts every value, null
+    * included; window aggregates over each column's counts then give its
+    * count (Σ non-null counts), missing (the null value's count), distinct
+    * (non-null values) and string lengths (min, max, Σ length·count).
+    * Only each column's first `topK` rows reach the driver, the null value
+    * ranked last; `topK` is at least 1, so a column with rows sends one.
     */
   def frequencies(df: DataFrame, cols: Seq[String], topK: Int,
-                  keep: Column): Map[String, Seq[(String, Long, Long)]] = {
+                  keep: Column): Map[String, CountedColumn] = {
     if (cols.isEmpty) return Map.empty
-    val arr = array(cols.map(c => colRef(c).cast(StringType)): _*)
-    val counted = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
-      .where(col("value").isNotNull)
-      .groupBy(col("pos"), col("value"))
-      .agg(count(lit(1)).as("count"), count(when(col("keep"), 1)))
-    val w = Window.partitionBy(col("pos")).orderBy(col("count").desc, col("value"))
-    val rows = counted
-      .withColumn("rn", row_number().over(w))
+    val value = col("value"); val n = col("count"); val len = length(value)
+    val ranked = Window.partitionBy(col("pos")).orderBy(value.isNull, n.desc, value)
+    // A frame over the whole column: Spark cuts a rank-filtered window's
+    // input to its first rows only when every function of the window is a
+    // running one, so these aggregates see every value of the column.
+    val column = ranked.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+    val byPos = df.select(posexplode(array(cols.map(c => colRef(c).cast(StringType)): _*)).as(Seq("pos", "value")),
+        keep.as("keep"))
+      .groupBy(col("pos"), value)
+      .agg(count(lit(1)).as("count"), count(when(col("keep"), 1)).as("kept"))
+      .select(col("pos"), value, n, col("kept"),
+        sum(when(value.isNotNull, n)).over(column), sum(when(value.isNull, n)).over(column),
+        count(value).over(column), min(len).over(column), max(len).over(column),
+        sum(len * n).over(column), row_number().over(ranked).as("rn"))
       .where(col("rn") <= topK)
       .collect()
-    val byPos = rows.map(r => (r.getInt(0), r.getString(1), r.getLong(2), r.getLong(3))).toSeq.groupBy(_._1)
+      .toSeq.groupBy(_.getInt(0))
     cols.zipWithIndex.map { case (c, p) =>
-      c -> byPos.getOrElse(p, Nil).sortBy(t => (-t._3, t._2)).map(t => (t._2, t._3, t._4))
+      c -> (byPos.get(p) match {
+        case Some(rows) =>
+          val r = rows.head
+          val nonNull = getLong(r, 4)
+          // equals avg(length(value)) bit for bit: both sum integer lengths exactly
+          CountedColumn(CategoricalStats(c, nonNull, getLong(r, 5), getLong(r, 6), getLong(r, 7), getLong(r, 8),
+              if (nonNull == 0) Double.NaN else getLong(r, 9).toDouble / nonNull),
+            rows.filterNot(_.isNullAt(1)).map(r => (r.getString(1), r.getLong(2), r.getLong(3)))
+              .sortBy(t => (-t._2, t._1)))
+        case None => CountedColumn(CategoricalStats(c, 0, 0, 0, 0, 0, Double.NaN), Nil)
+      })
     }.toMap
   }
 

@@ -12,7 +12,8 @@ import repro.core.Intermediates._
   * paper's computation-sharing optimization.
   *
   * Categorical: column statistics, bar chart, pie chart, word cloud / word
-  * frequencies (the bar and pie charts share one frequency reduction).
+  * frequencies (the statistics, the bar and the pie charts share one
+  * frequency reduction).
   */
 object Univariate {
 
@@ -57,19 +58,14 @@ object Univariate {
     NumericUnivariate(s, hist, kde, qq, box, insights)
   }
 
-  def categorical(df: DataFrame, column: String, cfg: EdaConfig): CategoricalUnivariate = {
-    val s = SparkStage.categoricalStats(df, Seq(column))(column)
-    fromCatStats(s, cfg, SparkStage.frequencies(df, Seq(column), cfg.int("bar.topk")),
+  def categorical(df: DataFrame, column: String, cfg: EdaConfig): CategoricalUnivariate =
+    fromCounts(SparkStage.frequencies(df, Seq(column), cfg.int("bar.topk"))(column), cfg,
       SparkStage.wordFrequencies(df, column, cfg.int("wordfreq.topk")))
-  }
 
-  /** Categorical univariate from pass-1 stats, the top `bar.topk` value
-    * counts and the word frequencies (empty in createReport, which omits
-    * word clouds, matching the profile report).
+  /** Categorical univariate from the column's frequency reduction (its
+    * stats and top `bar.topk` values) and the word frequencies (empty in
+    * createReport, which omits word clouds, matching the profile report).
     */
-  def fromCatStats(s: CategoricalStats, cfg: EdaConfig, rawFreqs: Map[String, Seq[(String, Long)]],
-                   words: WordFrequencies): CategoricalUnivariate = {
-    val freq = CategoryFrequencies(s.name, rawFreqs.getOrElse(s.name, Nil), s.distinct, s.count)
-    CategoricalUnivariate(s, freq, words, Insights.categorical(s, cfg))
-  }
+  def fromCounts(c: SparkStage.CountedColumn, cfg: EdaConfig, words: WordFrequencies): CategoricalUnivariate =
+    CategoricalUnivariate(c.stats, c.frequencies, words, Insights.categorical(c.stats, cfg))
 }

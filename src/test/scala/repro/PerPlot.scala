@@ -16,15 +16,12 @@ object PerPlot extends Reductions {
   def numericStats(df: DataFrame, cols: Seq[String]): Map[String, NumericStats] =
     cols.flatMap(c => SparkStage.numericStats(df, Seq(c))).toMap
 
-  def categoricalStats(df: DataFrame, cols: Seq[String]): Map[String, CategoricalStats] =
-    cols.flatMap(c => SparkStage.categoricalStats(df, Seq(c))).toMap
-
   def tableCounts(df: DataFrame): (Long, Long) = SparkStage.tableCounts(df)
 
   def histograms(df: DataFrame, stats: Seq[NumericStats], bins: Int): Map[String, SparkStage.BinnedColumn] =
     stats.flatMap(s => SparkStage.histograms(df, Seq(s), bins)).toMap
 
-  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, Seq[(String, Long)]] =
+  def frequencies(df: DataFrame, cols: Seq[String], topK: Int): Map[String, SparkStage.CountedColumn] =
     cols.flatMap(c => SparkStage.frequencies(df, Seq(c), topK)).toMap
 
   def grids(df: DataFrame, pairs: Seq[(NumericStats, NumericStats)], xBins: Int, yBins: Int): Seq[Grid2D] =

@@ -45,6 +45,14 @@ class EdaSpec extends SparkSpec with TestHelpers {
       math.max(4, Runtime.getRuntime.availableProcessors()).toString)
   }
 
+  test("a rejected config leaves the session untuned") {
+    val other = spark.newSession()
+    val keys = Seq("spark.sql.adaptive.enabled", "spark.sql.codegen.wholeStage")
+    val before = keys.map(other.conf.get)
+    intercept[IllegalArgumentException](Eda.plot(other.range(10).toDF("x"), config = Map("hist.bins" -> -3)))
+    assert(keys.map(other.conf.get) == before)
+  }
+
   test("plotMissing(df) / (df, col) / (df, col1, col2)") {
     assert(Eda.plotMissing(df).tabs.map(_.name).contains("Dendrogram"))
     assert(Eda.plotMissing(df, "num_0").title.contains("num_0"))

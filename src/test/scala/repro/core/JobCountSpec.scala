@@ -25,17 +25,17 @@ class JobCountSpec extends SparkSpec with JobCounting {
   }
 
   test("createReport runs as many Spark jobs on a wide table as on a narrow one") {
-    assert(jobsOf(Eda.createReport(narrow)) == 10)
-    assert(jobsOf(Eda.createReport(wide)) == 10)
+    assert(jobsOf(Eda.createReport(narrow)) == 9)
+    assert(jobsOf(Eda.createReport(wide)) == 9)
   }
 
   /** Spark jobs of each fine-grained task: a shared reduction that is
     * dropped, or a fused one that is split, changes a count.
     */
   private val taskJobs: Seq[(String, DataFrame => Any, Long)] = Seq(
-    ("plot(df)", Eda.plot(_), 6),
+    ("plot(df)", Eda.plot(_), 5),
     ("plot(df, num_0)", Eda.plot(_, "num_0"), 3),
-    ("plot(df, cat_0)", Eda.plot(_, "cat_0"), 3),
+    ("plot(df, cat_0)", Eda.plot(_, "cat_0"), 2),
     ("plot(df, num_0, num_1)", Eda.plot(_, "num_0", "num_1"), 6),
     ("plot(df, cat_0, num_1)", Eda.plot(_, "cat_0", "num_1"), 4),
     ("plot(df, cat_0, cat_1)", Eda.plot(_, "cat_0", "cat_1"), 1),
@@ -51,7 +51,7 @@ class JobCountSpec extends SparkSpec with JobCounting {
       Eda.plotCorrelation(_, "num_0", "num_1", Map("corr.methods" -> Seq("pearson"))), 2),
     ("plotCorrelation(df, num_0, num_1) with no method",
       Eda.plotCorrelation(_, "num_0", "num_1", Map("corr.methods" -> Seq())), 2),
-    ("createReport with no correlation method", Eda.createReport(_, Map("corr.methods" -> Seq())), 9),
+    ("createReport with no correlation method", Eda.createReport(_, Map("corr.methods" -> Seq())), 8),
   )
 
   taskJobs.foreach { case (task, run, jobs) =>

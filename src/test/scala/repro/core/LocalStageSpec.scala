@@ -107,7 +107,7 @@ class LocalStageSpec extends AnyFunSuite {
   }
 
   test("fences: Tukey 1.5*IQR") {
-    val (lo, hi) = LocalStage.fences(stats)
+    val (lo, hi) = LocalStage.fences(stats.q1, stats.q3)
     assert(lo == 25.0 - 1.5 * 50 && hi == 75.0 + 1.5 * 50)
   }
 

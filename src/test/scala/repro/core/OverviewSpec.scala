@@ -77,9 +77,8 @@ class OverviewSpec extends SparkSpec with TestHelpers {
   test("fromAggregates honors shared reductions (no recompute)") {
     val numeric = SparkStage.numericStats(df, Seq("x", "y"))
     val myHist = Map("x" -> Intermediates.Histogram("x", Array(0.0, 1.0), Array(1L)))
-    val ov = Overview.fromAggregates(cfg, Seq("x", "y").map(numeric),
-      Seq(SparkStage.categoricalStats(df, Seq("c"))("c")), SparkStage.tableCounts(df),
-      myHist, Map("c" -> Seq(("z", 9L))))
+    val c = SparkStage.frequencies(df, Seq("c"), 10)("c").copy(top = Seq(("z", 9L, 9L)))
+    val ov = Overview.fromAggregates(cfg, Seq("x", "y").map(numeric), Seq(c), SparkStage.tableCounts(df), myHist)
     assert(ov.histograms eq myHist)
     assert(ov.frequencies("c").topK == Seq(("z", 9L)))
   }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.lit
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec, TestHelpers}
-import repro.core.Intermediates.NumericStats
+import repro.core.Intermediates.{CategoricalStats, NumericStats}
 import repro.stats.{LocalStats, References}
 
 /** Distributed-stage reductions, oracle-checked against DuckDB. */
@@ -23,14 +23,14 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   ).toDF("x", "s").cache()
 
   private lazy val xs = SparkStage.numericStats(df, Seq("x"))("x")
-  private lazy val ss = SparkStage.categoricalStats(df, Seq("s"))("s")
+  private lazy val ss = SparkStage.frequencies(df, Seq("s"), 10)("s").stats
   private lazy val counts = SparkStage.tableCounts(df)
 
   /** Pass-1 stats of numeric columns of `d`, the literals of the binned reductions. */
   private def statsOf(d: DataFrame, cols: String*): Seq[NumericStats] =
     cols.map(SparkStage.numericStats(d, cols))
 
-  // Pass 1, the column aggregates: numericStats, categoricalStats and tableCounts.
+  // Pass 1, the column aggregates: numericStats and tableCounts.
 
   test("columnAggregates: count and missing match DuckDB") {
     val got = Seq((xs.count, xs.missing)).toDF("cnt", "mis")
@@ -61,11 +61,11 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(xs.zeros == 1 && xs.negatives == 1)
   }
 
-  test("columnAggregates: row count and duplicate rows") {
+  test("tableCounts: row count and duplicate rows") {
     assert(counts == ((7L, 1L)))
   }
 
-  test("columnAggregates: duplicate rows match DuckDB distinct") {
+  test("tableCounts: duplicate rows match DuckDB distinct") {
     val got = Seq(counts).toDF("r", "dup")
     Oracle.assertEquivalent(got,
       "SELECT (SELECT count(*) FROM t) AS r, " +
@@ -89,14 +89,14 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(xs.percentiles.sliding(2).forall(p => p(0) <= p(1)))
   }
 
-  test("columnAggregates: categorical count/missing/distinct match DuckDB") {
+  test("frequencies: categorical count/missing/distinct match DuckDB") {
     val got = Seq((ss.count, ss.missing, ss.distinct)).toDF("cnt", "mis", "d")
     Oracle.assertEquivalent(got,
       "SELECT count(s) AS cnt, count(*) - count(s) AS mis, count(DISTINCT s) AS d FROM t",
       "t" -> df)
   }
 
-  test("columnAggregates: string length stats match DuckDB") {
+  test("frequencies: string length stats match DuckDB") {
     val got = Seq((ss.minLength, ss.maxLength, ss.avgLength)).toDF("mn", "mx", "av")
     Oracle.assertEquivalent(got,
       "SELECT min(length(s)) AS mn, max(length(s)) AS mx, avg(length(s)) AS av FROM t",
@@ -137,7 +137,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     for (d <- Seq(t, empty)) assert(SparkStage.tableCounts(d)._1 == d.count())
     for (d <- Seq(t, empty); (num, cat) <- lists) {
       val totals = SparkStage.numericStats(d, num).values.map(_.total) ++
-        SparkStage.categoricalStats(d, cat).values.map(_.total)
+        SparkStage.frequencies(d, cat, 10).values.map(_.stats.total)
       assert(totals.forall(_ == d.count()), (num, cat))
     }
     assert(SparkStage.tableCounts(spark.range(5).select()) == ((5L, 0L)))
@@ -200,21 +200,21 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
   // ---------------------------------------------------------------------
 
   test("frequencies: counts match DuckDB") {
-    val f = SparkStage.frequencies(df, Seq("s"), 100)("s")
+    val f = SparkStage.frequencies(df, Seq("s"), 100)("s").frequencies.topK
     val got = f.toDF("v", "cnt")
     Oracle.assertEquivalent(got,
       "SELECT s AS v, count(*) AS cnt FROM t WHERE s IS NOT NULL GROUP BY s", "t" -> df)
   }
 
   test("frequencies: ordered most-frequent-first and capped") {
-    val f = SparkStage.frequencies(df, Seq("s"), 2)("s")
+    val f = SparkStage.frequencies(df, Seq("s"), 2)("s").frequencies.topK
     assert(f.size == 2)
     assert(f.head == ("a", 3L))
   }
 
   test("frequencies: several columns in one call") {
     val two = Seq(("x", "p"), ("x", "q"), ("y", "q")).toDF("c1", "c2")
-    val fs = SparkStage.frequencies(two, Seq("c1", "c2"), 10)
+    val fs = SparkStage.frequencies(two, Seq("c1", "c2"), 10).map { case (c, f) => c -> f.frequencies.topK }
     assert(fs("c1").toMap == Map("x" -> 2L, "y" -> 1L))
     assert(fs("c2").toMap == Map("p" -> 1L, "q" -> 2L))
   }
@@ -225,8 +225,32 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
       (Option("b"), Option(2.0)),
     ).toDF("c", "flag")
     val keep = org.apache.spark.sql.functions.col("flag").isNotNull
-    val f = SparkStage.frequencies(d2, Seq("c"), 10, keep)("c")
+    val f = SparkStage.frequencies(d2, Seq("c"), 10, keep)("c").top
     assert(f.toSet == Set(("a", 2L, 1L), ("b", 1L, 1L)))
+  }
+
+  /** Four values of lengths 1 to 4 and the null value, the most frequent of all. */
+  private lazy val nullHeavy = Seq(Some("bb"), None, Some("a"), Some("bb"), None, Some("cccc"),
+    Some("a"), None, Some("ddd"), Some("bb"), None).toDF("s")
+
+  test("frequencies: with topK = 1 the statistics of every value match DuckDB") {
+    val f = SparkStage.frequencies(nullHeavy, Seq("s"), 1)("s")
+    assert(f.top == Seq(("bb", 3L, 3L)))
+    val s = f.stats
+    Oracle.assertEquivalent(Seq((s.count, s.missing, s.distinct, s.minLength, s.maxLength, s.avgLength))
+        .toDF("cnt", "mis", "d", "mn", "mx", "av"),
+      "SELECT count(s) AS cnt, count(*) - count(s) AS mis, count(DISTINCT s) AS d, " +
+      "min(length(s)) AS mn, max(length(s)) AS mx, avg(length(s)) AS av FROM t", "t" -> nullHeavy)
+  }
+
+  test("frequencies: an all-null column and an empty table have no values and no lengths") {
+    val allNull = Seq[Option[String]](None, None, None).toDF("s")
+    for ((d, missing) <- Seq(allNull -> 3L, allNull.where(lit(false)) -> 0L)) {
+      val f = SparkStage.frequencies(d, Seq("s"), 10)("s")
+      assert(f.top.isEmpty)
+      assert(f.stats.copy(avgLength = 0) == CategoricalStats("s", 0, missing, 0, 0, 0, 0))
+      assert(f.stats.avgLength.isNaN)
+    }
   }
 
   test("wordFrequencies: tokenizes, lowercases, counts") {

@@ -40,7 +40,7 @@ class UnivariateSpec extends SparkSpec with TestHelpers {
   }
 
   test("numeric: outlier count matches DuckDB beyond the Tukey fences") {
-    val (lo, hi) = LocalStage.fences(numeric.stats)
+    val (lo, hi) = LocalStage.fences(numeric.stats.q1, numeric.stats.q3)
     val got = Seq(Tuple1(numeric.box.outliers)).toDF("n")
     Oracle.assertEquivalent(got,
       s"SELECT count(*) FILTER (WHERE CAST(v AS DOUBLE) < $lo OR CAST(v AS DOUBLE) > $hi) AS n FROM t",

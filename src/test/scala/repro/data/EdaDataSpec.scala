@@ -58,8 +58,8 @@ class EdaDataSpec extends SparkSpec with TestHelpers {
 
   test("categorical cardinalities cycle as documented") {
     val df = EdaData.dataset(spark, 5000, 0, 5, seed = 4).cache()
-    val stats = repro.core.SparkStage.categoricalStats(df, (0 until 5).map(i => s"cat_$i"))
-    val d = (0 until 5).map(i => stats(s"cat_$i").distinct)
+    val stats = repro.core.SparkStage.frequencies(df, (0 until 5).map(i => s"cat_$i"), 1)
+    val d = (0 until 5).map(i => stats(s"cat_$i").stats.distinct)
     assert(d(0) <= 2 && d(1) <= 5 && d(2) <= 12 && d(3) <= 30 && d(4) <= 120)
     assert(d(4) > 30) // actually exercises the high-cardinality regime
   }
